@@ -26,7 +26,8 @@ from repro.coyote.errors import SimulationError
 
 # Bump when the checkpoint payload layout changes; loads refuse a
 # mismatched format instead of failing somewhere inside unpickling.
-CHECKPOINT_FORMAT = 1
+# Format 2: harts keep their vector registers in one flat ``vrf``.
+CHECKPOINT_FORMAT = 2
 
 
 class CheckpointError(SimulationError):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.isa import csr as csrdef
 from repro.isa.decoder import IllegalInstruction, Instruction, decode
@@ -56,9 +56,12 @@ class IllegalInstructionTrap(Trap):
         super().__init__(f"illegal instruction {word:#010x}", pc)
 
 
-@dataclass(frozen=True)
-class MemAccess:
-    """One data memory access performed by an instruction."""
+class MemAccess(NamedTuple):
+    """One data memory access performed by an instruction.
+
+    A named tuple, not a frozen dataclass: a unit-stride vector access
+    records one per element, and a tuple is much cheaper to build.
+    """
 
     address: int
     size: int
@@ -161,7 +164,9 @@ class Hart:
         self.pc = reset_pc
         self.regs = [0] * 32
         self.fregs = [0.0] * 32
-        self.vregs = [bytearray(self.vlenb) for _ in range(32)]
+        # The vector register file, flat: register r is the bytes
+        # [r * vlenb, (r + 1) * vlenb), so an LMUL > 1 group is one span.
+        self.vrf = bytearray(32 * self.vlenb)
         self.vl = 0
         self.vtype = VType(vill=True)
         self.csrs: dict[int, int] = {}
@@ -272,32 +277,19 @@ class Hart:
     def read_velem(self, base_reg: int, index: int, sew: int) -> int:
         """Element ``index`` of the register group starting at ``base_reg``."""
         elem_bytes = sew // 8
-        per_reg = self.vlen_bits // sew
-        reg = base_reg + index // per_reg
-        offset = (index % per_reg) * elem_bytes
-        return int.from_bytes(self.vregs[reg][offset:offset + elem_bytes],
-                              "little")
+        offset = base_reg * self.vlenb + index * elem_bytes
+        return int.from_bytes(self.vrf[offset:offset + elem_bytes], "little")
 
     def write_velem(self, base_reg: int, index: int, sew: int,
                     value: int) -> None:
         elem_bytes = sew // 8
-        per_reg = self.vlen_bits // sew
-        reg = base_reg + index // per_reg
-        offset = (index % per_reg) * elem_bytes
-        self.vregs[reg][offset:offset + elem_bytes] = \
+        offset = base_reg * self.vlenb + index * elem_bytes
+        self.vrf[offset:offset + elem_bytes] = \
             (value & ((1 << sew) - 1)).to_bytes(elem_bytes, "little")
 
     def read_vmask_bit(self, index: int) -> int:
         """Bit ``index`` of the mask register v0."""
-        return (self.vregs[0][index >> 3] >> (index & 7)) & 1
-
-    def write_vmask_bit(self, base_reg: int, index: int, value: int) -> None:
-        byte_index = index >> 3
-        bit = 1 << (index & 7)
-        if value:
-            self.vregs[base_reg][byte_index] |= bit
-        else:
-            self.vregs[base_reg][byte_index] &= ~bit & 0xFF
+        return (self.vrf[index >> 3] >> (index & 7)) & 1
 
     # -- execution ----------------------------------------------------------
 

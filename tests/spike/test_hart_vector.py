@@ -25,8 +25,7 @@ def velems(hart, reg, count, sew=64):
 
 
 def vfelems(hart, reg, count):
-    return [struct.unpack("<d", bytes(hart.vregs[reg][8 * i:8 * i + 8]))[0]
-            for i in range(count)]
+    return list(struct.unpack_from(f"<{count}d", hart.vrf, reg * hart.vlenb))
 
 
 class TestConfiguration:
@@ -68,6 +67,19 @@ class TestConfiguration:
         hart = make_hart(".text\n_start:\nvadd.vv v1, v2, v3\n")
         with pytest.raises(VectorConfigError):
             hart.step()
+
+    @pytest.mark.parametrize("memop", ["vle64.v v1, (a0)",
+                                       "vse64.v v1, (a0)",
+                                       "vlse64.v v1, (a0), a1",
+                                       "vsse64.v v1, (a0), a1"])
+    def test_vector_memop_without_config_traps(self, memop):
+        hart = make_hart(f".text\n_start:\nla a0, buf\n{memop}\n"
+                         f".data\nbuf: .dword 7\n")
+        hart.step()
+        hart.step()  # la
+        with pytest.raises(VectorConfigError):
+            hart.step()
+        assert hart.accesses == []
 
 
 class TestIntegerOps:
@@ -160,6 +172,21 @@ class TestIntegerOps:
     vmv.x.s a0, v3
 """)
         assert hart.regs[10] == 3
+
+    @pytest.mark.parametrize("op", ["vredsum", "vredmax", "vredand"])
+    def test_reduction_at_vl0_leaves_vd(self, op):
+        hart = run_body(f"""
+    vsetvli a1, zero, e64, m1, ta, ma
+    vid.v v1
+    vmv.v.i v2, 0
+    li a2, 5
+    vmv.s.x v3, a2
+    li a3, 0
+    vsetvli a1, a3, e64, m1, ta, ma
+    {op}.vs v3, v1, v2
+""")
+        assert hart.vl == 0
+        assert hart.read_velem(3, 0, 64) == 5
 
 
 class TestMasks:
@@ -340,6 +367,105 @@ vin: .dword 1, 2, 3, 4
         assert len(hart.accesses) == 4  # one recorded access per element
         assert all(access.size == 8 and not access.is_write
                    for access in hart.accesses)
+        base = hart.program_symbols["vin"]
+        assert [access.address for access in hart.accesses] == \
+            [base + 8 * i for i in range(4)]
+
+    def _unit_stride_hart(self, body: str, a0: int, a2: int = 0):
+        hart = make_hart(f".text\n_start:\n"
+                         f"vsetvli a1, zero, e64, m1, ta, ma\n{body}\n"
+                         f"ebreak\n", vlen_bits=VLEN)
+        hart.step()  # vsetvli
+        hart.regs[10] = a0
+        hart.regs[12] = a2
+        return hart
+
+    def test_unit_stride_across_page_boundary(self):
+        page_end = 0x40000
+        source, target = page_end - 16, 2 * page_end - 8
+        hart = self._unit_stride_hart("vle64.v v1, (a0)\n"
+                                      "vse64.v v1, (a2)", source, target)
+        for i in range(4):
+            hart.memory.store_int(source + 8 * i, 100 + i, 8)
+        hart.step()
+        assert velems(hart, 1, 4) == [100, 101, 102, 103]
+        assert [access.address for access in hart.accesses] == \
+            [source + 8 * i for i in range(4)]
+        hart.step()
+        assert [hart.memory.load_int(target + 8 * i, 8)
+                for i in range(4)] == [100, 101, 102, 103]
+        assert all(access.is_write for access in hart.accesses)
+
+    def test_unit_stride_load_from_unallocated_page(self):
+        hart = self._unit_stride_hart("vle64.v v1, (a0)", 0x7000_0000)
+        hart.write_velem(1, 0, 64, 9)
+        pages = hart.memory.touched_pages()
+        hart.step()
+        assert hart.memory.touched_pages() == pages
+        assert velems(hart, 1, 4) == [0, 0, 0, 0]
+        assert len(hart.accesses) == 4
+
+    def test_unit_stride_wraps_at_top_of_address_space(self):
+        base = (1 << 64) - 16
+        hart = self._unit_stride_hart("vle64.v v1, (a0)", base)
+        addresses = [base, base + 8, 0, 8]
+        for i, address in enumerate(addresses):
+            hart.memory.store_int(address, 70 + i, 8)
+        hart.step()
+        assert velems(hart, 1, 4) == [70, 71, 72, 73]
+        assert [access.address for access in hart.accesses] == addresses
+
+    def test_masked_unit_stride_store_writes_active_only(self):
+        hart = self._unit_stride_hart("vse64.v v1, (a0), v0.t",
+                                      0x7000_0000 - 16)
+        for i in range(4):
+            hart.write_velem(1, i, 64, 50 + i)
+        hart.write_velem(0, 0, 8, 0b0011)  # elements 0 and 1: one page
+        pages = hart.memory.touched_pages()
+        hart.step()
+        assert hart.memory.touched_pages() == \
+            sorted(pages + [0x7000_0000 - 4096])
+        assert hart.memory.load_int(0x7000_0000 - 16, 8) == 50
+        assert hart.memory.load_int(0x7000_0000 - 8, 8) == 51
+        assert [access.address for access in hart.accesses] == \
+            [0x7000_0000 - 16, 0x7000_0000 - 8]
+
+    def test_unit_stride_store_into_code_invalidates(self):
+        patch = make_hart(".text\n_start:\naddi a5, a5, 100\n")
+        word = patch.memory.load_int(patch.pc, 4)
+        hart = run_body(f"""
+    li a5, 0
+    jal ra, target             # decodes target: a5 = 1
+    vsetivli t0, 1, e32, m1, ta, ma
+    la a0, patch
+    vle32.v v1, (a0)
+    la a1, target
+    vse32.v v1, (a1)           # overwrite the decoded addi
+    jal ra, target             # must run the patched addi: a5 = 101
+    j done
+target:
+    addi a5, a5, 1
+    ret
+done:
+""", data=f"patch: .word {word}\n")
+        assert hart.regs[15] == 101
+
+    def test_unit_stride_store_notes_whole_range(self):
+        hart = make_hart(""".text
+_start:
+    vsetvli a1, zero, e64, m1, ta, ma
+    vid.v v1
+    la a0, spot
+    vse64.v v1, (a0)
+    ebreak
+spot:
+    .zero 32
+""", vlen_bits=VLEN)
+        noted = []
+        hart.code_registry.note_store = \
+            lambda address, size: noted.append((address, size))
+        run_until_ebreak(hart)
+        assert noted == [(hart.program_symbols["spot"], 32)]
 
 
 class TestFloatOps:
@@ -385,6 +511,21 @@ fscale:
 """, data=self.DATA)
         assert hart.fregs[11] == 10.0
 
+    @pytest.mark.parametrize("op", ["vfredosum", "vfredmax"])
+    def test_fp_reduction_at_vl0_leaves_vd(self, op):
+        hart = run_body(f"""
+    vsetvli a1, zero, e64, m1, ta, ma
+    la a0, fin
+    vle64.v v1, (a0)
+    la a2, fscale
+    fld fa0, 0(a2)
+    vfmv.s.f v5, fa0
+    li a3, 0
+    vsetvli a1, a3, e64, m1, ta, ma
+    {op}.vs v5, v1, v1
+""", data=self.DATA)
+        assert vfelems(hart, 5, 1) == [0.5]
+
     def test_vfmv_v_f(self):
         hart = run_body("""
     vsetvli a1, zero, e64, m1, ta, ma
@@ -407,7 +548,7 @@ fscale:
     vmfle.vv v3, v1, v2       # fin <= 1.0 -> first only
 """, data=self.DATA)
         assert hart.read_vmask_bit(0) == 0
-        assert (hart.vregs[3][0] & 0xF) == 0b0001
+        assert (hart.vrf[3 * hart.vlenb] & 0xF) == 0b0001
 
     def test_fp_op_at_sew8_traps(self):
         hart = make_hart(""".text

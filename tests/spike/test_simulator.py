@@ -163,6 +163,42 @@ vdata: .zero 64
                        if miss.kind is AccessKind.LOAD]
         assert len(load_misses) == 1
 
+    def test_misaligned_vector_load_misses_in_element_order(self):
+        source = """
+.text
+_start:
+    vsetvli a1, zero, e64, m1, ta, ma
+    la a0, vdata
+    addi a0, a0, 60
+    vle64.v v1, (a0)
+halt:
+    j halt
+.data
+.align 6
+tohost: .dword 0
+.align 6
+vdata: .zero 192
+"""
+        core = make_core(source)
+        core.step()  # fetch miss
+        for _ in range(4):
+            core.step()
+        hart = core.hart
+        base = hart.regs[10]
+        outcome = core.step()  # vle64: 8 elements over 2 lines
+        assert [access.address for access in hart.accesses] == \
+            [base + 8 * i for i in range(8)]
+        line_bytes = core.l1d.line_bytes
+        expected = []
+        for i in range(8):
+            for byte in (base + 8 * i, base + 8 * i + 7):
+                line = byte - byte % line_bytes
+                if line not in expected:
+                    expected.append(line)
+        assert len(expected) == 2  # element 0 straddles both lines
+        assert [miss.line_address for miss in outcome.misses
+                if miss.kind is AccessKind.LOAD] == expected
+
     def test_halted_core_steps_are_noops(self):
         core = make_core(self.SIMPLE)
         core.halted = True

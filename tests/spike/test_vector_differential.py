@@ -173,3 +173,168 @@ vout: .zero {8 * count}
                                      8 * count)
         actual = np.frombuffer(raw, dtype=np.float64)
         assert np.array_equal(actual, reference)
+
+
+# ---------------------------------------------------------------------------
+# Masks, LMUL groups and tails
+# ---------------------------------------------------------------------------
+
+_DIRECTIVES = {8: ".byte", 16: ".half", 32: ".word", 64: ".dword"}
+
+
+def _run_group_op(mnemonic, sew, lmul, count, old, a, b, mask=None):
+    """Run ``mnemonic`` (a .vv op) on LMUL-``lmul`` groups at vl=count.
+
+    ``old``, ``a`` and ``b`` are VLMAX raw element values: vd's group
+    starts as ``old``; ``mask`` (VLEN bits as bytes) goes to v0 and makes
+    the op masked.  Returns vd's whole group, as raw values, afterwards.
+    """
+    masked = mask is not None
+
+    def emit(label, values):
+        body = ", ".join(str(int(value)) for value in values) or "0"
+        return f".align 3\n{label}:\n    {_DIRECTIVES[sew]} {body}\n"
+
+    vtype = f"e{sew}, m{lmul}, tu, mu"
+    source = f""".text
+_start:
+    vsetvli t0, zero, e8, m1, ta, ma
+    la   a0, vmask
+    vle8.v v0, (a0)
+    vsetvli t0, zero, {vtype}
+    la   a0, vold
+    vle{sew}.v v4, (a0)
+    la   a0, va
+    vle{sew}.v v8, (a0)
+    la   a0, vb
+    vle{sew}.v v12, (a0)
+    li   a2, {count}
+    vsetvli a1, a2, {vtype}
+    {mnemonic} v4, v8, v12{', v0.t' if masked else ''}
+    vsetvli t0, zero, {vtype}
+    la   a0, vout
+    vse{sew}.v v4, (a0)
+    ebreak
+.data
+{emit('vold', old)}{emit('va', a)}{emit('vb', b)}
+.align 3
+vmask:
+    .byte {', '.join(str(byte) for byte in (mask or bytes(VLEN // 8)))}
+.align 3
+vout: .zero {len(old) * sew // 8}
+"""
+    hart = make_hart(source, vlen_bits=VLEN)
+    run_until_ebreak(hart)
+    raw = hart.memory.load_bytes(hart.program_symbols["vout"],
+                                 len(old) * sew // 8)
+    return np.frombuffer(raw, dtype=_DTYPES[sew][0])
+
+
+def _active(count, vlmax, mask):
+    """Which of the VLMAX elements an op at vl=count may write."""
+    active = np.arange(vlmax) < count
+    if mask is not None:
+        bits = np.unpackbits(np.frombuffer(mask, dtype=np.uint8),
+                             bitorder="little")[:vlmax]
+        active &= bits.astype(bool)
+    return active
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_masked_grouped_tail_binop_matches_numpy(data):
+    """Masked or not, at LMUL 1/2/4 and any vl in [0, VLMAX]: active
+    elements get numpy's result, inactive and tail elements keep vd's."""
+    op = data.draw(st.sampled_from(_OPS))
+    sew = data.draw(st.sampled_from([8, 16, 32, 64]))
+    lmul = data.draw(st.sampled_from([1, 2, 4]))
+    vlmax = VLEN * lmul // sew
+    count = data.draw(st.integers(min_value=0, max_value=vlmax))
+    unsigned = _DTYPES[sew][0]
+    mask_bits = (1 << sew) - 1
+
+    def vector():
+        values = data.draw(st.lists(_ELEMENT, min_size=vlmax,
+                                    max_size=vlmax))
+        return np.array([value & mask_bits for value in values],
+                        dtype=unsigned)
+
+    old, a, b = vector(), vector(), vector()
+    mask = data.draw(st.one_of(st.none(), st.binary(min_size=VLEN // 8,
+                                                    max_size=VLEN // 8)))
+    actual = _run_group_op(f"{op}.vv", sew, lmul, count, old, a, b, mask)
+    expected = np.where(_active(count, vlmax, mask),
+                        _np_vector_op(op, a, b, sew), old)
+    assert np.array_equal(actual, expected), \
+        f"{op}.vv e{sew} m{lmul} vl={count} masked={mask is not None}"
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_masked_grouped_tail_fp_matches_numpy(data):
+    op = data.draw(st.sampled_from(["vfadd", "vfsub", "vfmul"]))
+    sew = data.draw(st.sampled_from([32, 64]))
+    lmul = data.draw(st.sampled_from([1, 2, 4]))
+    vlmax = VLEN * lmul // sew
+    count = data.draw(st.integers(min_value=0, max_value=vlmax))
+    ftype = np.float32 if sew == 32 else np.float64
+
+    def vector():
+        return np.array(data.draw(st.lists(
+            st.floats(min_value=-1e6, max_value=1e6, width=sew),
+            min_size=vlmax, max_size=vlmax)), dtype=ftype)
+
+    old, a, b = vector(), vector(), vector()
+    mask = data.draw(st.one_of(st.none(), st.binary(min_size=VLEN // 8,
+                                                    max_size=VLEN // 8)))
+    unsigned = _DTYPES[sew][0]
+    actual = _run_group_op(f"{op}.vv", sew, lmul, count, old.view(unsigned),
+                           a.view(unsigned), b.view(unsigned),
+                           mask).view(ftype)
+    result = {"vfadd": a + b, "vfsub": a - b, "vfmul": a * b}[op]
+    expected = np.where(_active(count, vlmax, mask), result, old)
+    assert np.array_equal(actual.view(unsigned), expected.view(unsigned))
+
+
+# ---------------------------------------------------------------------------
+# SEW-32 FP bit patterns
+# ---------------------------------------------------------------------------
+
+_F32_PATTERNS = [
+    0x7F800001,  # signalling NaN, payload 1
+    0xFFBFFFFF,  # negative signalling NaN, full payload
+    0x7FC12345,  # quiet NaN with a payload
+    0x7F800000,  # +inf
+    0xFF800000,  # -inf
+    0x80000000,  # -0.0
+    0x00000001,  # smallest denormal
+    0x3F800000,  # 1.0
+    0xC0490FDB,  # -pi
+]
+
+
+@pytest.mark.parametrize("op", ["vfadd", "vfsub", "vfmul", "vfsgnj",
+                                "vfsgnjx", "vfmin", "vfmax"])
+def test_sew32_nan_patterns_bit_exact(op):
+    """Active elements match the scalar conversion routines bit for bit;
+    inactive and tail elements keep signalling-NaN bits untouched."""
+    from repro.spike.hart import bits_to_f32, f32_to_bits, round_f32
+    from repro.spike.vector import _V_FP_BINOPS
+
+    lmul, sew = 2, 32
+    vlmax = VLEN * lmul // sew
+    count = vlmax - 3
+    patterns = np.array(_F32_PATTERNS, dtype=np.uint32)
+    a = np.resize(patterns, vlmax)
+    b = np.roll(a, 4)
+    old = np.full(vlmax, 0x7F800002, dtype=np.uint32)
+    mask = bytes([0b10110111] * (VLEN // 8))
+    actual = _run_group_op(f"{op}.vv", sew, lmul, count, old, a, b, mask)
+    fn = _V_FP_BINOPS[op]
+    active = _active(count, vlmax, mask)
+    expected = [
+        f32_to_bits(round_f32(fn(bits_to_f32(int(x)), bits_to_f32(int(y)))))
+        if active[i] else int(old[i])
+        for i, (x, y) in enumerate(zip(a, b))]
+    assert [hex(value) for value in actual] == \
+        [hex(value) for value in expected]

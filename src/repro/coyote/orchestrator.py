@@ -18,17 +18,19 @@ miss (the core waits for that specific fill).  When every live core is
 stalled the orchestrator fast-forwards the clock to the next scheduled
 event — a pure optimisation with identical observable behaviour.
 
-Two hot-loop optimisations keep host time proportional to simulated
+Three hot-loop optimisations keep host time proportional to simulated
 work (docs/INTERNALS.md, "The hot loop & fast-forward"):
 
 * the active-core list is kept incrementally sorted (bisect on wake,
   in-place delete on stall/halt) instead of re-sorted every cycle;
-* when exactly one core is live and unstalled, a *run-ahead batch*
-  executes instructions back to back until the next scheduled event,
-  a miss, a stall or a halt — provably the same sequence of
-  (instruction, cycle) pairs the per-cycle loop produces, because with
-  one core there is nothing to interleave with and no event can fire
-  inside the batch window.
+* each core dispatches translated *micro-blocks* (spike/translate.py):
+  the block's one memory access runs on its exact lockstep cycle and
+  the register-private tail runs ahead, the core skipping the cycles
+  the tail covers;
+* while no per-cycle observer is live, a *due-ring batch* visits only
+  the cycles on which some core is due, up to the next scheduled event
+  — for one core this is plain run-ahead, for many it skips every cycle
+  on which all of them are mid-block.
 
 ``use_reference_loop = True`` selects the original straight-line
 per-cycle loop; the differential tests run both and assert bit-identical
@@ -119,15 +121,15 @@ class Orchestrator:
         # is what the differential tests compare against).  Each
         # translator registers itself with the machine's
         # CodeCacheRegistry for store invalidation and with its hart
-        # for drop_code_caches().
-        self.translators = None
-        if config.translate:
-            self.translators = [BlockTranslator(core, self.machine)
-                                for core in self.cores]
-        # Per-core "skip until" cycle for the multicore micro-block
-        # dispatch: a core whose dispatched micro-block covered cycles
-        # [c, c+n) already holds the architectural state of cycle c+n-1,
-        # so the lockstep loop skips it until then.  Persisted across
+        # for drop_code_caches().  With ``translate=False`` they compile
+        # nothing, so every instruction runs on the interpreter.
+        self.translators = [BlockTranslator(core, self.machine,
+                                            enabled=config.translate)
+                            for core in self.cores]
+        # Per-core "skip until" cycle for the micro-block dispatch: a
+        # core whose dispatched micro-block covered cycles [c, c+n)
+        # already holds the architectural state of cycle c+n-1, so the
+        # lockstep loop skips it until then.  Persisted across
         # pause/resume (a checkpoint can land mid-micro-block).
         self._resume_at = [0] * config.num_cores
         # Incremented by every successful _wake; the dispatch-gap jump
@@ -396,10 +398,19 @@ class Orchestrator:
         """The optimised cycle loop; returns instructions executed.
 
         Identical observable behaviour to :meth:`_cycle_loop_reference`
-        (the differential tests assert it); the differences are pure
-        host-side engineering: an incrementally-sorted active list,
-        attribute lookups hoisted into locals, and the single-core
-        run-ahead batch.
+        (the differential tests and the loop fuzzer assert it).  Each
+        trip round the outer loop takes one of three bodies:
+
+        * the all-stalled jump straight to the next scheduled event;
+        * the due-ring batch, for any number of active cores while no
+          per-cycle observer is live: it visits only the cycles on which
+          some core is due, up to the next event;
+        * the per-cycle pass, one cycle in the reference loop's visit
+          order, followed by the dispatch-gap jump.
+
+        Both executing bodies dispatch translated micro-blocks inline and
+        share one helper, ``visit``, for everything slower: RAW checks,
+        block exits that missed or halted, and interpreter steps.
         """
         config = self.config
         scheduler = self.scheduler
@@ -418,29 +429,18 @@ class Orchestrator:
         busy_maps = [self.scoreboard.busy_map(core_id)
                      for core_id in range(config.num_cores)]
         # Translated-block dispatch state, hoisted per core.  The cache
-        # dicts are mutated in place by invalidation, so holding them in
-        # locals is safe; ``None`` disables the fast path entirely.
+        # dicts are mutated in place by invalidation, so holding their
+        # ``get`` in locals is safe.
         translators = self.translators
-        resume = getattr(self, "_resume_at", None)
-        if resume is None:  # checkpoint from an older layout
-            resume = self._resume_at = [0] * config.num_cores
-        if not hasattr(self, "_wake_epoch"):  # ditto
-            self._wake_epoch = 0
-        if translators is not None:
-            tcaches = [translator.cache for translator in translators]
-            ucaches = [translator.ucache for translator in translators]
-            harts = [core.hart for core in cores]
-            istats = [core.l1i.stats for core in cores]
-            # Block functions return how many instructions they retired
-            # but do not touch the pure counters (translate.py module
-            # docstring); the loop accrues the counts here and flushes
-            # them wherever they become observable.
-            credit = [0] * config.num_cores
-            ugets = [ucache.get for ucache in ucaches]
-            ufgets = [translator.ufast.get for translator in translators]
-        else:
-            tcaches = ucaches = harts = istats = credit = None
-            ugets = ufgets = None
+        fn_gets = [translator.cache.get for translator in translators]
+        resume = self._resume_at
+        harts = [core.hart for core in cores]
+        istats = [core.l1i.stats for core in cores]
+        # Block functions return how many instructions they retired but
+        # do not touch the pure counters (translate.py module docstring);
+        # the loop accrues the counts here and flushes them wherever they
+        # become observable.
+        credit = [0] * config.num_cores
 
         def flush_credits(single: int | None = None) -> None:
             """Settle accrued instruction counts into ``hart.instret``,
@@ -450,8 +450,6 @@ class Orchestrator:
             samples, loop exits).  Dispatch paths accrue ``credit`` only;
             everything downstream of a flush point sees exact counts."""
             nonlocal total_instructions
-            if credit is None:
-                return
             for cid in ((single,) if single is not None
                         else range(config.num_cores)):
                 n = credit[cid]
@@ -461,6 +459,104 @@ class Orchestrator:
                     cores[cid].instructions += n
                     istats[cid].reads += n
                     total_instructions += n
+
+        def visit(core_id: int, now: int, result) -> int:
+            """The slow half of core ``core_id``'s turn at cycle ``now``.
+
+            ``result`` is None for a core with pending fills (RAW check,
+            then a budget-1 dispatch), or the :class:`BlockExit` of a
+            dispatch that did not run cleanly.  Returns the cycles the
+            turn covered (the core is due again that many cycles on), or
+            0 when the core left the active list.  Sets ``submitted``
+            when the turn put events into the scheduler or halted the
+            core; either ends a due-ring batch at this cycle.
+            """
+            nonlocal total_instructions, remaining_cores, submitted
+            core = cores[core_id]
+            # The due ring advances the clock lazily: settle it before
+            # the step reads it (rdcycle) or a submission schedules.
+            scheduler.current_cycle = now
+            if result is None:
+                # RAW check against pending misses (paper: the core is
+                # inactive until the dependency is satisfied).
+                try:
+                    registers = core.peek_registers()
+                except Trap as exc:
+                    raise SimulationError(
+                        f"core {core_id}: {exc}") from exc
+                if blocks(core_id, registers):
+                    active_list.remove(core_id)
+                    active_set.remove(core_id)
+                    raw_waiting.add(core_id)
+                    states[core_id].stall_start = now
+                    if chrome is not None:
+                        chrome.set_state(core_id, RAW_STALL, now)
+                    return 0
+                # Pending fills: one instruction per cycle keeps the
+                # no-RAW gate covering every instruction.
+                pc = harts[core_id].pc
+                fn = fn_gets[core_id](pc)
+                if fn is None:
+                    fn = translators[core_id].translate(pc)
+                result = fn(1)
+                if result.__class__ is int:
+                    credit[core_id] += 1
+                    return 1
+            if result.executed:
+                # Micro-blocks miss or halt only at instruction 0.
+                credit[core_id] += 1
+                misses = result.misses
+            else:
+                # Zero progress (fetch miss or untranslatable pc): one
+                # interpreter step.  It may read instret (rdinstret CSR),
+                # so settle this core's accrued count first.
+                if credit[core_id]:
+                    flush_credits(core_id)
+                try:
+                    outcome = core.step()
+                except EnvironmentCall:
+                    # Bare-metal convention: ecall halts the calling
+                    # hart with exit code a0.
+                    machine.exit_codes[core_id] = core.hart.regs[10]
+                    core.halted = True
+                    outcome = None
+                except Trap as exc:
+                    raise SimulationError(
+                        f"core {core_id}: {exc}") from exc
+                if outcome is clean_step:
+                    total_instructions += 1
+                    return 1
+                misses = None
+                if outcome is not None:
+                    if outcome.status is fetch_miss:
+                        fetch_id = self._submit_misses(core_id,
+                                                       outcome.misses)
+                        state = states[core_id]
+                        state.waiting_fetch_id = fetch_id
+                        state.stall_start = now
+                        fetch_waits[fetch_id] = core_id
+                        active_list.remove(core_id)
+                        active_set.remove(core_id)
+                        if chrome is not None:
+                            chrome.set_state(core_id, FETCH_STALL, now)
+                        submitted = True
+                        return 0
+                    total_instructions += 1
+                    misses = outcome.misses
+            if misses:
+                self._submit_misses(core_id, misses)
+                submitted = True
+            if core.halted:
+                states[core_id].halt_cycle = now
+                active_list.remove(core_id)
+                active_set.remove(core_id)
+                remaining_cores -= 1
+                if chrome is not None:
+                    chrome.halt(core_id, now)
+                submitted = True
+                return 0
+            return 1
+
         advance_cycle = scheduler.advance_cycle
         next_event_cycle = scheduler.next_event_cycle
         max_cycles = config.max_cycles
@@ -469,11 +565,13 @@ class Orchestrator:
         # instruction count continues from the previous segment.
         remaining_cores = sum(1 for core in cores if not core.halted)
         total_instructions = self._instructions_total
+        submitted = False
         watchdog = self.watchdog
         invariants = self.invariants
-        # The run-ahead batch advances several cycles between telemetry
-        # checkpoints; the interval sampler needs its per-cycle boundary
-        # checks, so its presence disables the batch.
+        # The interval sampler needs its per-cycle boundary checks, so
+        # while it is live every dispatch gets a budget of one
+        # instruction; otherwise every dispatch to a core without
+        # pending fills gets the whole block.
         run_ahead = sampler is None
         base_limit = MAX_BLOCK if run_ahead else 1
         _FAR = 1 << 62  # "no core becomes due" sentinel for min_due
@@ -483,7 +581,6 @@ class Orchestrator:
         # observers need the instruction credits settled first.
         tail_hooks = (sampler is not None or heartbeat is not None
                       or watchdog is not None or invariants is not None)
-        executed = StepStatus.EXECUTED
         fetch_miss = StepStatus.FETCH_MISS
         clean_step = CLEAN_STEP
         # With the sampler inactive nothing observes the activity
@@ -558,204 +655,24 @@ class Orchestrator:
                         invariants.maybe_check(scheduler.current_cycle)
                 continue
 
-            if run_ahead and len(active_list) == 1 \
-                    and resume[active_list[0]] <= now:
+            if not tail_hooks:
                 next_event = next_event_cycle()
                 bound = max_cycles if next_event is None \
                     else min(next_event, max_cycles)
                 if pause_at is not None and pause_at < bound:
                     bound = pause_at
                 if bound > now:
-                    # Run-ahead batch: one live core, no event due before
-                    # ``bound``.  Each iteration is one simulated cycle,
-                    # byte-for-byte the per-cycle body specialised to a
-                    # single core (equivalence argument in
-                    # docs/INTERNALS.md).
-                    core_id = active_list[0]
-                    core = cores[core_id]
-                    state = states[core_id]
-                    peek = core.peek_registers
-                    step = core.step
-                    busy = busy_maps[core_id]
-                    if translators is not None:
-                        hart = harts[core_id]
-                        fns = tcaches[core_id]
-                        fns_get = fns.get
-                        translate = translators[core_id].translate
-                    else:
-                        fns_get = None
-                    if profiler is not None:
-                        section_start = clock()
-                    batch_cycles = 0
-                    while now < bound:
-                        if busy:
-                            try:
-                                registers = peek()
-                            except Trap as exc:
-                                raise SimulationError(
-                                    f"core {core_id}: {exc}") from exc
-                            blocked = blocks(core_id, registers)
-                        else:
-                            blocked = False
-                        if blocked:
-                            batch_cycles += 1
-                            del active_list[0]
-                            active_set.remove(core_id)
-                            raw_waiting.add(core_id)
-                            state.stall_start = now
-                            if chrome is not None:
-                                chrome.set_state(core_id, RAW_STALL, now)
-                            # No event can be due at ``now`` (now <
-                            # bound), so advancing the cycle is a bare
-                            # clock increment.
-                            now += 1
-                            scheduler.current_cycle = now
-                            break
-                        if fns_get is not None and not busy:
-                            # Translated sprint: dispatch whole blocks
-                            # back to back while the budget allows.  The
-                            # busy map cannot change mid-sprint (no
-                            # completion fires before ``bound``), so the
-                            # no-RAW gate above covers every sprinted
-                            # instruction; any event exits the sprint.
-                            fn = fns_get(hart.pc)
-                            if fn is None:
-                                fn = translate(hart.pc)
-                            if fn is not False:
-                                result = fn(bound - now)
-                                if result is None:
-                                    span = bound - now
-                                    credit[core_id] += span
-                                    batch_cycles += span
-                                    now = bound
-                                    scheduler.current_cycle = now
-                                    continue
-                                if type(result) is int:
-                                    credit[core_id] += result
-                                    batch_cycles += result
-                                    now += result
-                                    scheduler.current_cycle = now
-                                    continue
-                                span = result.executed
-                                if span:
-                                    # Last instruction missed and/or
-                                    # halted at cycle ``now + span - 1``.
-                                    credit[core_id] += span
-                                    batch_cycles += span
-                                    now += span - 1
-                                    scheduler.current_cycle = now
-                                    if result.misses:
-                                        self._submit_misses(core_id,
-                                                            result.misses)
-                                    if core.halted:
-                                        state.halt_cycle = now
-                                        if active_list and \
-                                                active_list[0] == core_id:
-                                            del active_list[0]
-                                            active_set.remove(core_id)
-                                        remaining_cores -= 1
-                                        if chrome is not None:
-                                            chrome.halt(core_id, now)
-                                    advance_cycle()
-                                    break
-                                # Zero progress (fetch miss or
-                                # untranslatable): one interpreter step.
-                        # The step may read instret (rdinstret CSR):
-                        # settle this core's accrued count first.
-                        if credit is not None and credit[core_id]:
-                            flush_credits(core_id)
-                        try:
-                            outcome = step()
-                        except EnvironmentCall:
-                            machine.exit_codes[core_id] = \
-                                core.hart.regs[10]
-                            core.halted = True
-                            outcome = None
-                        except Trap as exc:
-                            raise SimulationError(
-                                f"core {core_id}: {exc}") from exc
-                        if outcome is clean_step:
-                            # Executed, no misses, still running — the
-                            # dominant case the batch exists for.
-                            total_instructions += 1
-                            batch_cycles += 1
-                            now += 1
-                            scheduler.current_cycle = now
-                            continue
-                        batch_cycles += 1
-                        leave = False
-                        if outcome is not None:
-                            status = outcome.status
-                            if status is executed:
-                                total_instructions += 1
-                                if outcome.misses:
-                                    self._submit_misses(core_id,
-                                                        outcome.misses)
-                                    leave = True
-                            elif status is fetch_miss:
-                                fetch_id = self._submit_misses(
-                                    core_id, outcome.misses)
-                                state.waiting_fetch_id = fetch_id
-                                state.stall_start = now
-                                fetch_waits[fetch_id] = core_id
-                                del active_list[0]
-                                active_set.remove(core_id)
-                                if chrome is not None:
-                                    chrome.set_state(core_id, FETCH_STALL,
-                                                     now)
-                                leave = True
-                        if core.halted:
-                            state.halt_cycle = now
-                            if active_list and active_list[0] == core_id:
-                                del active_list[0]
-                                active_set.remove(core_id)
-                            remaining_cores -= 1
-                            if chrome is not None:
-                                chrome.halt(core_id, now)
-                            leave = True
-                        if leave:
-                            # Submissions may have scheduled events at
-                            # the current cycle (zero NoC latency), so
-                            # end the cycle through the scheduler.
-                            advance_cycle()
-                            break
-                        now += 1
-                        scheduler.current_cycle = now
-                    flush_credits(core_id)
-                    activity_counts[1] += batch_cycles
-                    if profiler is not None:
-                        profiler.spike_seconds += clock() - section_start
-                    if heartbeat is not None:
-                        heartbeat.maybe_heartbeat(scheduler.current_cycle,
-                                                  total_instructions,
-                                                  scheduler.events_fired)
-                    if watchdog is not None:
-                        watchdog.observe(scheduler.current_cycle,
-                                         total_instructions,
-                                         scheduler.events_fired)
-                    if invariants is not None:
-                        invariants.maybe_check(scheduler.current_cycle)
-                    continue
-
-            if run_ahead and ucaches is not None and not tail_hooks \
-                    and len(active_list) > 1:
-                next_event = next_event_cycle()
-                bound = max_cycles if next_event is None \
-                    else min(next_event, max_cycles)
-                if pause_at is not None and pause_at < bound:
-                    bound = pause_at
-                if bound > now:
-                    # Multicore run-ahead batch: no event, pause point or
-                    # budget boundary before ``bound`` and no per-cycle
-                    # observer is live, so only the cycles where some
-                    # core is due need a visit.  A private due-ring
-                    # (cycle -> sorted core ids) drives those visits;
-                    # between them every live core is mid-micro-block
-                    # and the scheduler queue is silent, so advancing
-                    # the clock is a bare assignment (same equivalence
-                    # argument as the dispatch-gap jump).  The ring is
-                    # seeded from ``resume`` and simply discarded on
-                    # every exit — ``resume`` stays authoritative, so
+                    # Due-ring batch: no event, pause point or budget
+                    # boundary before ``bound`` and no per-cycle observer
+                    # is live, so only the cycles where some core is due
+                    # need a visit.  A private due-ring (cycle -> core
+                    # ids) drives those visits; between them every live
+                    # core is mid-micro-block and the scheduler queue is
+                    # silent, so advancing the clock is a bare assignment
+                    # (same equivalence argument as the dispatch-gap
+                    # jump).  With one core this is plain run-ahead.  The
+                    # ring is seeded from ``resume`` and simply discarded
+                    # on every exit — ``resume`` stays authoritative, so
                     # the per-cycle path picks up seamlessly.
                     if profiler is not None:
                         section_start = clock()
@@ -773,14 +690,6 @@ class Orchestrator:
                         if cycle < now:
                             cycle = now
                         ring[cycle & 127].append(core_id)
-                    # Busy maps only change at batch exits (submissions
-                    # end the batch; completions need events), so one
-                    # entry check covers every dispatch inside.
-                    check_busy = False
-                    for core_id in active_list:
-                        if busy_maps[core_id]:
-                            check_busy = True
-                            break
                     while True:
                         todo = ring[now & 127]
                         if not todo:
@@ -811,251 +720,33 @@ class Orchestrator:
                         if len(todo) > 1:
                             todo.sort()
                         submitted = False
-                        if not check_busy:
-                            # Lean regime: no core has pending fills, so
-                            # the RAW gate is vacuous and every dispatch
-                            # gets the full budget — unchecked twins
-                            # only, which never return ``None``.  Twin
-                            # of the guarded regime below; keep the exit
-                            # handling in sync.
-                            for core_id in todo:
-                                fn = ufgets[core_id](harts[core_id].pc)
-                                if fn is None:
-                                    translators[core_id].translate_uop(
-                                        harts[core_id].pc)
-                                    fn = ufgets[core_id](
-                                        harts[core_id].pc)
-                                result = fn()
-                                if result.__class__ is tint:
-                                    # ``resume`` is settled lazily by
-                                    # the batch-exit ring scan.
-                                    credit[core_id] += result
-                                    ring[(now + result) & 127].append(
-                                        core_id)
-                                    continue
-                                if result.executed:
-                                    credit[core_id] += 1
-                                    if result.misses:
-                                        scheduler.current_cycle = now
-                                        self._submit_misses(
-                                            core_id, result.misses)
-                                        submitted = True
-                                    if cores[core_id].halted:
-                                        states[core_id].halt_cycle = now
-                                        active_list.remove(core_id)
-                                        active_set.remove(core_id)
-                                        remaining_cores -= 1
-                                        live -= 1
-                                        if chrome is not None:
-                                            chrome.halt(core_id, now)
-                                        continue
-                                    if not submitted:
-                                        ring[(now + 1) & 127].append(
-                                            core_id)
-                                    continue
-                                # Zero progress or untranslatable:
-                                # interpreter step.
-                                scheduler.current_cycle = now
-                                core = cores[core_id]
-                                if credit[core_id]:
-                                    flush_credits(core_id)
-                                try:
-                                    outcome = core.step()
-                                except EnvironmentCall:
-                                    machine.exit_codes[core_id] = \
-                                        core.hart.regs[10]
-                                    core.halted = True
-                                    outcome = None
-                                except Trap as exc:
-                                    raise SimulationError(
-                                        f"core {core_id}: {exc}") from exc
-                                removed = False
-                                rerun = True
-                                if outcome is not None \
-                                        and outcome is not clean_step:
-                                    status = outcome.status
-                                    if status is executed:
-                                        total_instructions += 1
-                                        if outcome.misses:
-                                            self._submit_misses(
-                                                core_id, outcome.misses)
-                                            submitted = True
-                                            rerun = False
-                                    elif status is fetch_miss:
-                                        fetch_id = self._submit_misses(
-                                            core_id, outcome.misses)
-                                        state = states[core_id]
-                                        state.waiting_fetch_id = fetch_id
-                                        state.stall_start = now
-                                        fetch_waits[fetch_id] = core_id
-                                        active_list.remove(core_id)
-                                        active_set.remove(core_id)
-                                        submitted = True
-                                        removed = True
-                                        live -= 1
-                                        if chrome is not None:
-                                            chrome.set_state(
-                                                core_id, FETCH_STALL,
-                                                now)
-                                elif outcome is clean_step:
-                                    total_instructions += 1
-                                if core.halted:
-                                    states[core_id].halt_cycle = now
-                                    if not removed:
-                                        active_list.remove(core_id)
-                                        active_set.remove(core_id)
-                                        removed = True
-                                        live -= 1
-                                    remaining_cores -= 1
-                                    if chrome is not None:
-                                        chrome.halt(core_id, now)
-                                if not removed and rerun:
-                                    ring[(now + 1) & 127].append(core_id)
-                            todo.clear()
-                            if submitted:
-                                advance_cycle()
-                                break
-                            now += 1
-                            if now >= bound:
-                                scheduler.current_cycle = now
-                                break
-                            continue
                         for core_id in todo:
-                            hart = harts[core_id]
+                            # Busy maps only change at batch exits
+                            # (submissions end the batch; completions
+                            # need events), so a core without pending
+                            # fills stays free of RAW hazards all batch.
                             if busy_maps[core_id]:
-                                core = cores[core_id]
-                                try:
-                                    registers = core.peek_registers()
-                                except Trap as exc:
-                                    raise SimulationError(
-                                        f"core {core_id}: {exc}"
-                                    ) from exc
-                                if blocks(core_id, registers):
-                                    active_list.remove(core_id)
-                                    active_set.remove(core_id)
-                                    raw_waiting.add(core_id)
-                                    states[core_id].stall_start = now
-                                    live -= 1
-                                    if chrome is not None:
-                                        chrome.set_state(
-                                            core_id, RAW_STALL, now)
-                                    continue
-                                # Pending fills: one instruction per
-                                # cycle keeps the no-RAW gate tight.
-                                limit = 1
+                                ran = visit(core_id, now, None)
                             else:
-                                limit = MAX_BLOCK
-                            # Guarded dispatches are rare; the checked
-                            # variant serves both limits.
-                            fn = ugets[core_id](hart.pc)
-                            if fn is None:
-                                fn = translators[core_id].translate_uop(
-                                    hart.pc)
-                            if fn is not False:
-                                result = fn(limit)
-                                if type(result) is int:
-                                    credit[core_id] += result
-                                    ring[(now + result) & 127].append(
-                                        core_id)
-                                    continue
-                                if result is None:
-                                    credit[core_id] += limit
-                                    ring[(now + limit) & 127].append(
-                                        core_id)
-                                    continue
-                                if result.executed:
-                                    # One instruction retired; misses
-                                    # and halts only at instruction 0.
-                                    credit[core_id] += 1
-                                    if result.misses:
-                                        # The clock is advanced lazily;
-                                        # settle it before events enter
-                                        # the scheduler.
-                                        scheduler.current_cycle = now
-                                        self._submit_misses(
-                                            core_id, result.misses)
-                                        # New events: end the batch at
-                                        # this cycle's boundary.  The
-                                        # core's stale resume (<= now)
-                                        # keeps it due next cycle.
-                                        submitted = True
-                                    if cores[core_id].halted:
-                                        states[core_id].halt_cycle = now
-                                        active_list.remove(core_id)
-                                        active_set.remove(core_id)
-                                        remaining_cores -= 1
-                                        live -= 1
-                                        if chrome is not None:
-                                            chrome.halt(core_id, now)
-                                        continue
-                                    if not submitted:
-                                        ring[(now + 1) & 127].append(
-                                            core_id)
-                                    continue
-                                # Zero progress: interpreter step below.
-                            scheduler.current_cycle = now
-                            core = cores[core_id]
-                            # The step may read instret (rdinstret CSR):
-                            # settle this core's accrued count first.
-                            if credit[core_id]:
-                                flush_credits(core_id)
-                            try:
-                                outcome = core.step()
-                            except EnvironmentCall:
-                                machine.exit_codes[core_id] = \
-                                    core.hart.regs[10]
-                                core.halted = True
-                                outcome = None
-                            except Trap as exc:
-                                raise SimulationError(
-                                    f"core {core_id}: {exc}") from exc
-                            removed = False
-                            rerun = True
-                            if outcome is not None \
-                                    and outcome is not clean_step:
-                                status = outcome.status
-                                if status is executed:
-                                    total_instructions += 1
-                                    if outcome.misses:
-                                        self._submit_misses(
-                                            core_id, outcome.misses)
-                                        submitted = True
-                                        rerun = False
-                                elif status is fetch_miss:
-                                    fetch_id = self._submit_misses(
-                                        core_id, outcome.misses)
-                                    state = states[core_id]
-                                    state.waiting_fetch_id = fetch_id
-                                    state.stall_start = now
-                                    fetch_waits[fetch_id] = core_id
-                                    active_list.remove(core_id)
-                                    active_set.remove(core_id)
-                                    submitted = True
-                                    removed = True
-                                    live -= 1
-                                    if chrome is not None:
-                                        chrome.set_state(
-                                            core_id, FETCH_STALL, now)
-                            elif outcome is clean_step:
-                                total_instructions += 1
-                            if core.halted:
-                                states[core_id].halt_cycle = now
-                                if not removed:
-                                    active_list.remove(core_id)
-                                    active_set.remove(core_id)
-                                    removed = True
-                                    live -= 1
-                                remaining_cores -= 1
-                                if chrome is not None:
-                                    chrome.halt(core_id, now)
-                            if not removed and rerun:
-                                ring[(now + 1) & 127].append(core_id)
+                                pc = harts[core_id].pc
+                                fn = fn_gets[core_id](pc)
+                                if fn is None:
+                                    fn = translators[core_id].translate(pc)
+                                ran = fn(base_limit)
+                                if ran.__class__ is tint:
+                                    credit[core_id] += ran
+                                else:
+                                    ran = visit(core_id, now, ran)
+                            if ran:
+                                ring[(now + ran) & 127].append(core_id)
+                            else:
+                                live -= 1
                         todo.clear()
                         if submitted:
                             # End the cycle through the scheduler (a
                             # submission may complete with zero latency)
                             # and rebuild bounds at the loop head; the
-                            # submit sites already settled the clock.
+                            # helper already settled the clock.
                             advance_cycle()
                             break
                         now += 1
@@ -1069,10 +760,7 @@ class Orchestrator:
                     # sit in [now, now + 64]: a bound break can leave
                     # an unconsumed entry at exactly ``now`` (the gap
                     # scan stops short of the bound slot), so the scan
-                    # must start there, not one past it.  A core that
-                    # left on an event at ``now`` has no entry and a
-                    # resume still <= now, which the per-cycle path
-                    # reads as "due immediately" — exactly right.
+                    # must start there, not one past it.
                     for cycle in range(now, now + 65):
                         bucket = ring[cycle & 127]
                         if bucket:
@@ -1084,7 +772,6 @@ class Orchestrator:
                     continue
 
             active_now = len(active_list)
-
             if activity_counts is not None:
                 activity_counts[active_now] += 1
             else:
@@ -1092,247 +779,54 @@ class Orchestrator:
 
             if profiler is not None:
                 section_start = clock()
+            # Per-cycle pass, in the reference loop's visit order.  A
+            # dispatched micro-block's memory access (if any) is
+            # instruction 0, executed this cycle — every cross-core-
+            # visible effect lands on its exact lockstep cycle — and the
+            # register-private tail runs ahead, the resume skip covering
+            # its remaining cycles.  ``min_due`` tracks the earliest
+            # cycle any surviving core becomes due again (0 = due next
+            # cycle) and feeds the dispatch-gap jump after the pass.
+            # Halted cores never appear here: every halt removes the core
+            # and ``_wake`` refuses them.
             index = 0
             count = active_now
-            min_due = 0
-            if ucaches is None:
-                # Interpreter-only pass (``translate=False``).  A twin
-                # of the dispatching pass below — duplicated so the hot
-                # variant carries no per-visit mode checks; the RAW gate
-                # and the outcome handling must stay in sync.
-                while index < count:
-                    core_id = active_list[index]
-                    core = cores[core_id]
-                    busy = busy_maps[core_id]
-
-                    # RAW check against pending misses (paper: the core
-                    # is inactive until the dependency is satisfied).
-                    # Skipped outright with no busy registers.
-                    if busy:
-                        try:
-                            registers = core.peek_registers()
-                        except Trap as exc:
-                            raise SimulationError(
-                                f"core {core_id}: {exc}") from exc
-                        if blocks(core_id, registers):
-                            del active_list[index]
-                            count -= 1
-                            active_set.remove(core_id)
-                            raw_waiting.add(core_id)
-                            states[core_id].stall_start = now
-                            if chrome is not None:
-                                chrome.set_state(core_id, RAW_STALL, now)
-                            continue
-
-                    try:
-                        outcome = core.step()
-                    except EnvironmentCall:
-                        # Bare-metal convention: ecall halts the calling
-                        # hart with exit code a0.
-                        machine.exit_codes[core_id] = core.hart.regs[10]
-                        core.halted = True
-                        outcome = None
-                    except Trap as exc:
-                        raise SimulationError(
-                            f"core {core_id}: {exc}") from exc
-
-                    if outcome is clean_step:
-                        # Executed, no misses, still running: nothing
-                        # else to record for this core this cycle.
-                        total_instructions += 1
-                        index += 1
-                        continue
-
-                    removed = False
-                    if outcome is not None:
-                        status = outcome.status
-                        if status is executed:
-                            total_instructions += 1
-                            if outcome.misses:
-                                self._submit_misses(core_id,
-                                                    outcome.misses)
-                        elif status is fetch_miss:
-                            fetch_id = self._submit_misses(
-                                core_id, outcome.misses)
-                            state = states[core_id]
-                            state.waiting_fetch_id = fetch_id
-                            state.stall_start = now
-                            fetch_waits[fetch_id] = core_id
-                            del active_list[index]
-                            count -= 1
-                            active_set.remove(core_id)
-                            removed = True
-                            if chrome is not None:
-                                chrome.set_state(core_id, FETCH_STALL,
-                                                 now)
-
-                    if core.halted:
-                        states[core_id].halt_cycle = now
-                        if not removed:
-                            del active_list[index]
-                            count -= 1
-                            active_set.remove(core_id)
-                            removed = True
-                        remaining_cores -= 1
-                        if chrome is not None:
-                            chrome.halt(core_id, now)
-                    if not removed:
-                        index += 1
-            else:
-                # Dispatching pass: same visit order and per-cycle
-                # effects as the interpreter pass.  The translated
-                # micro-block's memory access (if any) is instruction 0,
-                # executed this cycle — every cross-core-visible effect
-                # lands on its exact lockstep cycle — and the register-
-                # private tail runs ahead, the resume skip covering its
-                # remaining cycles.  ``min_due`` tracks the earliest
-                # cycle any surviving core becomes due again (0 = due
-                # next cycle) and feeds the dispatch-gap jump after the
-                # pass.  Halted cores never appear here: every halt site
-                # removes the core and ``_wake`` refuses them.
-                min_due = _FAR
-                while index < count:
-                    core_id = active_list[index]
-                    due = resume[core_id]
-                    if due > now:
-                        # Mid-micro-block: the busy map stayed empty
-                        # (the dispatch required it empty and a miss
-                        # ends the micro-block), so no RAW or fetch
-                        # check applies until the next dispatch.
-                        if due < min_due:
-                            min_due = due
-                        index += 1
-                        continue
-                    busy = busy_maps[core_id]
-                    if busy:
-                        core = cores[core_id]
-                        try:
-                            registers = core.peek_registers()
-                        except Trap as exc:
-                            raise SimulationError(
-                                f"core {core_id}: {exc}") from exc
-                        if blocks(core_id, registers):
-                            del active_list[index]
-                            count -= 1
-                            active_set.remove(core_id)
-                            raw_waiting.add(core_id)
-                            states[core_id].stall_start = now
-                            if chrome is not None:
-                                chrome.set_state(core_id, RAW_STALL, now)
-                            continue
-                        # Pending fills: stay at one instruction per
-                        # cycle so the no-RAW gate covers every one.
-                        limit = 1
-                    else:
-                        limit = base_limit
-                    hart = harts[core_id]
-                    fn = ugets[core_id](hart.pc)
+            min_due = _FAR
+            while index < count:
+                core_id = active_list[index]
+                due = resume[core_id]
+                if due > now:
+                    # Mid-micro-block: the busy map stayed empty (the
+                    # dispatch required it empty and a miss ends the
+                    # micro-block), so no RAW or fetch check applies
+                    # until the next dispatch.
+                    if due < min_due:
+                        min_due = due
+                    index += 1
+                    continue
+                if busy_maps[core_id]:
+                    ran = visit(core_id, now, None)
+                else:
+                    pc = harts[core_id].pc
+                    fn = fn_gets[core_id](pc)
                     if fn is None:
-                        fn = translators[core_id].translate_uop(hart.pc)
-                    if fn is not False:
-                        result = fn(limit)
-                        if result is None:
-                            credit[core_id] += limit
-                            if limit > 1:
-                                due = now + limit
-                                resume[core_id] = due
-                                if due < min_due:
-                                    min_due = due
-                            else:
-                                min_due = 0
-                            index += 1
-                            continue
-                        if type(result) is int:
-                            credit[core_id] += result
-                            if result > 1:
-                                due = now + result
-                                resume[core_id] = due
-                                if due < min_due:
-                                    min_due = due
-                            else:
-                                min_due = 0
-                            index += 1
-                            continue
-                        if result.executed:
-                            # Micro-blocks miss or halt only at
-                            # instruction 0, so exactly one instruction
-                            # retired on this cycle.
-                            credit[core_id] += 1
-                            min_due = 0
-                            if result.misses:
-                                self._submit_misses(core_id,
-                                                    result.misses)
-                            if cores[core_id].halted:
-                                states[core_id].halt_cycle = now
-                                del active_list[index]
-                                count -= 1
-                                active_set.remove(core_id)
-                                remaining_cores -= 1
-                                if chrome is not None:
-                                    chrome.halt(core_id, now)
-                                continue
-                            index += 1
-                            continue
-                        # Zero progress: interpreter step below handles
-                        # the fetch miss / untranslatable instruction.
+                        fn = translators[core_id].translate(pc)
+                    ran = fn(base_limit)
+                    if ran.__class__ is tint:
+                        credit[core_id] += ran
+                    else:
+                        ran = visit(core_id, now, ran)
+                if not ran:
+                    count -= 1  # left the list: the next core slid in
+                    continue
+                index += 1
+                if ran > 1:
+                    due = now + ran
+                    resume[core_id] = due
+                    if due < min_due:
+                        min_due = due
+                else:
                     min_due = 0
-                    core = cores[core_id]
-                    # The step may read instret (rdinstret CSR): settle
-                    # this core's accrued count first.
-                    if credit[core_id]:
-                        flush_credits(core_id)
-                    try:
-                        outcome = core.step()
-                    except EnvironmentCall:
-                        # Bare-metal convention: ecall halts the calling
-                        # hart with exit code a0.
-                        machine.exit_codes[core_id] = core.hart.regs[10]
-                        core.halted = True
-                        outcome = None
-                    except Trap as exc:
-                        raise SimulationError(
-                            f"core {core_id}: {exc}") from exc
-
-                    if outcome is clean_step:
-                        total_instructions += 1
-                        index += 1
-                        continue
-
-                    removed = False
-                    if outcome is not None:
-                        status = outcome.status
-                        if status is executed:
-                            total_instructions += 1
-                            if outcome.misses:
-                                self._submit_misses(core_id,
-                                                    outcome.misses)
-                        elif status is fetch_miss:
-                            fetch_id = self._submit_misses(
-                                core_id, outcome.misses)
-                            state = states[core_id]
-                            state.waiting_fetch_id = fetch_id
-                            state.stall_start = now
-                            fetch_waits[fetch_id] = core_id
-                            del active_list[index]
-                            count -= 1
-                            active_set.remove(core_id)
-                            removed = True
-                            if chrome is not None:
-                                chrome.set_state(core_id, FETCH_STALL,
-                                                 now)
-
-                    if core.halted:
-                        states[core_id].halt_cycle = now
-                        if not removed:
-                            del active_list[index]
-                            count -= 1
-                            active_set.remove(core_id)
-                            removed = True
-                        remaining_cores -= 1
-                        if chrome is not None:
-                            chrome.halt(core_id, now)
-                    if not removed:
-                        index += 1
             if profiler is not None:
                 now_wall = clock()
                 profiler.spike_seconds += now_wall - section_start

@@ -27,7 +27,9 @@ from repro.coyote.errors import SimulationError
 # Bump when the checkpoint payload layout changes; loads refuse a
 # mismatched format instead of failing somewhere inside unpickling.
 # Format 2: harts keep their vector registers in one flat ``vrf``.
-CHECKPOINT_FORMAT = 2
+# Format 3: one micro-block cache per BlockTranslator, and every
+# orchestrator has translators (``translate=False`` disables them).
+CHECKPOINT_FORMAT = 3
 
 
 class CheckpointError(SimulationError):

@@ -43,8 +43,8 @@ class Scheduler:
         self._queue: list[tuple[int, int, int, Callable, tuple]] = []
         self._sequence = 0
         # Public on purpose: the orchestrator's inner loop reads (and,
-        # in its single-core run-ahead, writes) the clock every
-        # simulated cycle; attribute access keeps that cheap.
+        # in its due-ring batch, writes) the clock every simulated
+        # cycle; attribute access keeps that cheap.
         self.current_cycle = 0
         self._events_fired = 0
 

@@ -136,7 +136,10 @@ def bits_to_f64(raw: int) -> float:
 
 
 def f32_to_bits(value: float) -> int:
-    return struct.unpack("<I", struct.pack("<f", value))[0]
+    try:
+        return struct.unpack("<I", struct.pack("<f", value))[0]
+    except OverflowError:  # beyond float32 range: see round_f32
+        return 0x7F800000 if value > 0 else 0xFF800000
 
 
 def bits_to_f32(raw: int) -> float:
@@ -144,8 +147,16 @@ def bits_to_f32(raw: int) -> float:
 
 
 def round_f32(value: float) -> float:
-    """Round a double to the nearest representable float32."""
-    return struct.unpack("<f", struct.pack("<f", value))[0]
+    """Round a double to the nearest representable float32.
+
+    A finite double that rounds beyond the float32 range becomes ±inf,
+    as round-to-nearest requires; ``struct`` raises ``OverflowError``
+    for exactly those values instead.
+    """
+    try:
+        return struct.unpack("<f", struct.pack("<f", value))[0]
+    except OverflowError:
+        return math.copysign(math.inf, value)
 
 
 class Hart:

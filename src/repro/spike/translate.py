@@ -12,14 +12,17 @@ register file accesses, L1 lookups, and sparse-memory accesses inlined.
 Fidelity contract (bit-identical to the interpreter, proven by
 ``tests/coyote/test_translate.py`` and the differential suite):
 
-* **Cycle exactness.**  A block function takes a ``limit`` (cycles it may
-  consume) and never executes more than ``limit`` instructions.  The
-  single-core run-ahead loop dispatches whole bounded sprints; the
-  multicore loop dispatches *micro-blocks* (``translate_uop``: at most
-  one memory access, which must be instruction 0) so every
-  cross-core-visible access stays on its exact lockstep cycle while the
-  register-private tail runs ahead, the core skipping its next
-  dispatches until the tail's last logical cycle has passed.
+* **Cycle exactness.**  Every translated block is a *micro-block*: at
+  most one memory access, which must be instruction 0.  The lockstep
+  loop dispatches a micro-block on the cycle its first instruction is
+  due, so every cross-core-visible access lands on its exact lockstep
+  cycle, while the register-private tail runs ahead and the core skips
+  its next dispatches until the tail's last logical cycle has passed.
+* **Budget: 1 or the whole block.**  A block function takes a ``limit``
+  and never executes more than ``limit`` instructions.  The dispatcher
+  passes either 1 (the core has pending fills, or the interval sampler
+  needs every cycle) or ``MAX_BLOCK``, which is at least the length of
+  any block, so the one budget guard sits after instruction 0.
 * **L1 exactness.**  Data-side lookups replicate ``L1Cache.access_fast``
   (stats, true-LRU touch, allocate-on-miss, dirty-victim writeback)
   inline, with the access counters constant-folded into each exit.
@@ -35,8 +38,8 @@ Fidelity contract (bit-identical to the interpreter, proven by
 * **Fallback edges.**  The block exits back to the interpreter loop at
   L1 misses, HTIF halts, line-crossing accesses, stores into decoded
   code pages, and every untranslatable instruction (vector, AMO, CSR,
-  system).  A zero-progress exit tells the caller to take one
-  interpreter step instead.
+  system).  An untranslatable pc maps to a stub that always reports
+  zero progress, which tells the caller to take one interpreter step.
 * **Invalidation.**  Every translated instruction was decoded through
   ``Hart.decode_at``, which registers its page(s) in the shared
   :class:`~repro.spike.hart.CodeCacheRegistry`; stores into those pages
@@ -46,11 +49,11 @@ Fidelity contract (bit-identical to the interpreter, proven by
 
 The protocol of a generated ``run(limit)`` function:
 
-* ``None`` — executed exactly ``limit`` instructions cleanly.
-* ``int n`` (0 < n < limit) — executed ``n`` instructions cleanly and
-  stopped (block boundary / resident-probe failure); ``hart.pc`` is set.
-* :class:`BlockExit` with ``executed > 0`` — the last instruction
-  missed in the L1D (``misses``) and/or halted the hart (``halted``).
+* ``int n`` (1 <= n <= limit) — executed ``n`` instructions cleanly and
+  stopped (budget, block boundary or resident-probe failure);
+  ``hart.pc`` is set.
+* :class:`BlockExit` with ``executed == 1`` — instruction 0 missed in
+  the L1D (``misses``) and/or halted the hart (``halted``).
 * :class:`BlockExit` with ``executed == 0`` — no progress; the caller
   must fall back to one interpreter ``CoreModel.step``.
 
@@ -256,14 +259,16 @@ _TRANSLATABLE = frozenset(
 # Globals shared by every compiled factory (the generated code's module
 # namespace).  Struct methods are pre-bound so a load is one call.
 _G = {
-    # Generated code runs with empty builtins by design; the one
-    # exception class the fused cache probes catch is passed in.
+    # Generated code runs with empty builtins by design; the exception
+    # classes it catches are passed in.
     "__builtins__": {},
     "KeyError": KeyError,
+    "OverflowError": OverflowError,
     "OPS": OPS,
     "UN": UN,
     "DMISS": _data_miss,
     "R": round_f32,
+    "FB": f32_to_bits,
     "U2": struct.Struct("<H").unpack_from,
     "U4": struct.Struct("<I").unpack_from,
     "U8": struct.Struct("<Q").unpack_from,
@@ -294,21 +299,18 @@ _SIGN_OR = {1: ("0x80", "0xFFFFFFFFFFFFFF00"),
             4: ("0x80000000", "0xFFFFFFFF00000000")}
 
 
-def _discover(hart, pc: int, uop: bool = False) -> list:
-    """Collect the translatable straight-line run starting at ``pc``.
+def _discover(hart, pc: int) -> list:
+    """Collect the translatable micro-block starting at ``pc``.
 
     Branches and jumps are included as block enders; anything the
     interpreter must execute (vector, AMO, CSR, system, unknown) stops
-    the block *before* itself.  Decoding goes through ``decode_at`` so
-    every instruction's page is registered for store invalidation.
-
-    With ``uop=True`` the run additionally stops *before* any memory
-    instruction past position 0: the resulting micro-block performs its
-    one (optional) memory access on the cycle it is dispatched and the
-    rest of the block touches only this core's registers.  The multicore
-    lockstep loop exploits that shape to dispatch whole micro-blocks
-    while keeping every cross-core-visible access on its exact cycle
-    (docs/INTERNALS.md, "Translated fast path").
+    the block *before* itself, and so does any memory instruction past
+    position 0.  The micro-block therefore performs its one (optional)
+    memory access on the cycle it is dispatched and the rest touches
+    only this core's registers, which lets the lockstep loop run the
+    tail ahead (docs/INTERNALS.md, "Translated fast path").  Decoding
+    goes through ``decode_at`` so every instruction's page is registered
+    for store invalidation.
     """
     instrs = []
     cursor = pc
@@ -323,8 +325,7 @@ def _discover(hart, pc: int, uop: bool = False) -> list:
             break
         if instr.is_control or mnemonic not in _TRANSLATABLE:
             break
-        if uop and instrs and (mnemonic in _LOAD_OPS
-                               or mnemonic in _STORE_SIZE):
+        if instrs and (mnemonic in _LOAD_OPS or mnemonic in _STORE_SIZE):
             break
         instrs.append(instr)
         cursor += 4
@@ -332,8 +333,7 @@ def _discover(hart, pc: int, uop: bool = False) -> list:
 
 
 def _build_source(pc0: int, instrs: list, profiled: bool, tohost: int,
-                  i_off: int, i_mask: int, d_off: int, d_mask: int,
-                  checked: bool = True) -> str:
+                  i_off: int, i_mask: int, d_off: int, d_mask: int) -> str:
     """Generate the factory source for one basic block.
 
     Every exit point inlines its own constant-folded commit (L1D access
@@ -342,11 +342,9 @@ def _build_source(pc0: int, instrs: list, profiled: bool, tohost: int,
     state variables, because at micro-block sizes the scaffolding would
     otherwise rival the body.
 
-    ``checked=False`` drops the per-instruction cycle-budget guards and
-    the ``None``-for-exactly-``limit`` return convention: the variant is
-    only ever dispatched with ``limit`` at least the block length, so a
-    clean exit after ``n`` instructions is a plain ``return n`` (which
-    may equal ``limit``; dispatchers treat any int uniformly).
+    The budget is 1 or the whole block (module docstring), so the only
+    budget guard sits between instructions 0 and 1; every clean exit
+    after ``n`` instructions is a plain ``return n``.
 
     Two commitments are deliberately NOT made by the generated code:
 
@@ -404,10 +402,7 @@ def _build_source(pc0: int, instrs: list, profiled: bool, tohost: int,
         expression string already holding the next pc."""
         commit(indent, n)
         emit(indent, f"hart.pc = {npc}")
-        if checked:
-            emit(indent, f"return None if limit == {n} else {n}")
-        else:
-            emit(indent, f"return {n}")
+        emit(indent, f"return {n}")
 
     def emit_zero(indent: int) -> None:
         # No progress: hart.pc still equals the dispatch pc, and E is
@@ -419,8 +414,7 @@ def _build_source(pc0: int, instrs: list, profiled: bool, tohost: int,
 
     def emit_stall(indent: int, k: int, pc: int) -> None:
         """Clean stop *before* instruction k (probe failure or a
-        line-crossing access); the budget guard for k already passed,
-        so ``limit > k`` and the int return is unambiguous."""
+        line-crossing access)."""
         if k == 0:
             emit_zero(indent)
         else:
@@ -443,12 +437,12 @@ def _build_source(pc0: int, instrs: list, profiled: bool, tohost: int,
         rd, rs1, rs2, rs3 = ins.rd, ins.rs1, ins.rs2, ins.rs3
         imm, sh = ins.imm, ins.shamt
 
-        # Cycle-budget boundary: stop cleanly *before* instruction k.
-        if checked and k:
-            emit(2, f"if limit == {k}:")
-            commit(3, k)
+        # Budget of one: stop cleanly *before* instruction 1.
+        if k == 1:
+            emit(2, "if limit == 1:")
+            commit(3, 1)
             emit(3, f"hart.pc = {pc}")
-            emit(3, "return None")
+            emit(3, "return 1")
         # New I-line: prove residency with a fused probe-and-LRU-touch
         # (``pop`` raises on a cold line).  Touching here rather than
         # at exit is order-equivalent — see the function docstring.
@@ -553,7 +547,11 @@ def _build_source(pc0: int, instrs: list, profiled: bool, tohost: int,
             if m == "fsd":
                 emit(2, f"PD(p, a & 4095, f[{rs2}])")
             elif m == "fsw":
-                emit(2, f"PF(p, a & 4095, f[{rs2}])")
+                # A double-range value rounds to ±inf, as in f32_to_bits.
+                emit(2, "try:")
+                emit(3, f"PF(p, a & 4095, f[{rs2}])")
+                emit(2, "except OverflowError:")
+                emit(3, f"P4(p, a & 4095, FB(f[{rs2}]))")
             elif m == "sb":
                 emit(2, f"p[a & 4095] = {_x(rs2)} & 0xFF"
                      if rs2 else "p[a & 4095] = 0")
@@ -669,9 +667,7 @@ def _build_source(pc0: int, instrs: list, profiled: bool, tohost: int,
         "    dst = l1d.stats",
     ]
     lines += ["    " + text for text in pre]
-    # The unchecked twin never reads its budget; dropping the parameter
-    # shaves the argument pass off every dispatch.
-    lines.append("    def run(limit):" if checked else "    def run():")
+    lines.append("    def run(limit):")
     lines += body
     lines.append("    return run")
     return "\n".join(lines) + "\n"
@@ -795,7 +791,7 @@ _FACTORY_CACHE_MAX = 4096
 def _zero_progress_stub(exit_obj):
     """A run-fn for untranslatable pcs: reports zero progress so the
     dispatcher falls through to its interpreter path."""
-    def run():
+    def run(limit):
         exit_obj.executed = 0
         exit_obj.misses = None
         exit_obj.halted = False
@@ -804,13 +800,13 @@ def _zero_progress_stub(exit_obj):
 
 
 def _factory_for(pc0, instrs, profiled, tohost, i_off, i_mask,
-                 d_off, d_mask, checked=True):
+                 d_off, d_mask):
     key = (pc0, tuple(ins.word for ins in instrs), profiled, tohost,
-           i_off, i_mask, d_off, d_mask, checked)
+           i_off, i_mask, d_off, d_mask)
     factory = _FACTORY_CACHE.get(key)
     if factory is None:
         source = _build_source(pc0, instrs, profiled, tohost,
-                               i_off, i_mask, d_off, d_mask, checked)
+                               i_off, i_mask, d_off, d_mask)
         code = compile(source, f"<block@{pc0:#x}>", "exec")
         namespace: dict = {}
         exec(code, _G, namespace)
@@ -824,63 +820,36 @@ def _factory_for(pc0, instrs, profiled, tohost, i_off, i_mask,
 class BlockTranslator:
     """Per-core translated-block cache with store invalidation.
 
-    ``cache`` maps a block-start pc to its compiled ``run(limit)``
-    closure, or ``False`` for pcs proven untranslatable (the dispatch
-    loops hoist this dict and only call :meth:`translate` on a true
-    miss).  ``ucache`` holds the memory-leading micro-block variants the
-    multicore lockstep loop dispatches (:meth:`translate_uop`); ``ufast``
-    holds the unchecked twins of the same micro-blocks — no budget
-    guards, valid only for full-budget (``limit >= block length``)
-    dispatches.  All dict objects are mutated in place, never replaced,
-    so hoisted references stay valid across invalidations.
+    ``cache`` maps a block-start pc to its compiled micro-block
+    ``run(limit)`` closure; a pc proven untranslatable maps to a
+    zero-progress stub, so the dispatch loops hoist ``cache.get`` and
+    call :meth:`translate` only on a true miss.  The dict is mutated in
+    place, never replaced, so hoisted references stay valid across
+    invalidations.  With ``enabled`` false every pc maps to the stub and
+    the core runs on the interpreter alone.
     """
 
-    def __init__(self, core, machine):
+    def __init__(self, core, machine, enabled: bool = True):
         self.core = core
         self.machine = machine
         self.cache: dict = {}
-        self.ucache: dict = {}
-        self.ufast: dict = {}
         self._bounds: dict = {}
-        self._ubounds: dict = {}
         self._exit = BlockExit()
         hart = core.hart
         hart._code_caches.append(self)
         hart.code_registry.register_cache(self)
         # Within-line implies within-page is load/store codegen's one
         # geometric assumption; refuse to translate if it cannot hold.
-        self._enabled = core.l1d.line_bytes <= PAGE_SIZE
+        self._enabled = enabled and core.l1d.line_bytes <= PAGE_SIZE
 
     def translate(self, pc: int):
-        """Translate the block at ``pc``; returns a run-fn or ``False``."""
+        """Translate the micro-block at ``pc``, install its run-fn in
+        ``cache`` and return it."""
         instrs = _discover(self.core.hart, pc) if self._enabled else []
-        return self._install(pc, instrs, self.cache, self._bounds)
-
-    def translate_uop(self, pc: int):
-        """Translate the micro-block at ``pc`` (memory access only at
-        position 0); installs the checked variant in ``ucache`` and its
-        unchecked twin in ``ufast`` (sharing ``_ubounds``), returning
-        the checked run-fn or ``False``."""
-        instrs = _discover(self.core.hart, pc, uop=True) \
-            if self._enabled else []
-        fn = self._install(pc, instrs, self.ucache, self._ubounds)
-        if fn is False:
-            # Untranslatable pcs get a zero-progress stub instead of a
-            # ``False`` sentinel: the dispatch loop then needs no
-            # translatability test at all — the stub routes it to the
-            # interpreter through the ordinary zero-progress exit.
-            self.ufast[pc] = _zero_progress_stub(self._exit)
-        else:
-            self._install(pc, instrs, self.ufast, self._ubounds,
-                          checked=False)
-        return fn
-
-    def _install(self, pc: int, instrs: list, cache: dict, bounds: dict,
-                 checked: bool = True):
         if not instrs:
-            cache[pc] = False
-            bounds[pc] = pc + 3
-            return False
+            fn = self.cache[pc] = _zero_progress_stub(self._exit)
+            self._bounds[pc] = pc + 3
+            return fn
         core = self.core
         hart = core.hart
         l1i, l1d = core.l1i, core.l1d
@@ -891,55 +860,41 @@ class BlockTranslator:
         profiled = core.profile is not None
         factory = _factory_for(pc, instrs, profiled, tohost,
                                l1i._offset_bits, l1i._index_mask,
-                               l1d._offset_bits, l1d._index_mask,
-                               checked)
+                               l1d._offset_bits, l1d._index_mask)
         memory = machine.memory
         context = (hart, hart.regs, hart.fregs, core, self._exit,
                    core.profile, instrs, l1i, l1d, memory._pages,
                    memory._page, hart._code_pages,
                    hart.code_registry.note_store, machine.htif_store,
                    core.core_id)
-        fn = factory(context)
-        cache[pc] = fn
-        bounds[pc] = pc + 4 * len(instrs) - 1
+        fn = self.cache[pc] = factory(context)
+        self._bounds[pc] = pc + 4 * len(instrs) - 1
         return fn
+
+    # The benchmark's layer tracer wraps both names, so the former
+    # micro-block entry point stays defined as an alias.
+    translate_uop = translate
 
     # -- invalidation (CodeCacheRegistry protocol) --------------------------
 
     def invalidate_range(self, lo: int, hi: int) -> None:
         """Drop every cached block overlapping byte range [lo, hi]."""
-        ufast = self.ufast
-        for cache, bounds in ((self.cache, self._bounds),
-                              (self.ucache, self._ubounds)):
-            if not bounds:
-                continue
-            dead = [pc for pc, end in bounds.items()
-                    if pc <= hi and end >= lo]
-            for pc in dead:
-                del bounds[pc]
-                cache.pop(pc, None)
-                if cache is not self.cache:
-                    ufast.pop(pc, None)
+        bounds = self._bounds
+        if not bounds:
+            return
+        dead = [pc for pc, end in bounds.items() if pc <= hi and end >= lo]
+        for pc in dead:
+            del bounds[pc]
+            self.cache.pop(pc, None)
 
     def drop_all(self) -> None:
         self.cache.clear()
-        self.ucache.clear()
-        self.ufast.clear()
         self._bounds.clear()
-        self._ubounds.clear()
 
     # -- pickling: compiled closures must never leak into checkpoints -------
 
     def __getstate__(self):
         state = self.__dict__.copy()
         state["cache"] = {}
-        state["ucache"] = {}
-        state["ufast"] = {}
         state["_bounds"] = {}
-        state["_ubounds"] = {}
         return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        # Checkpoints written before the unchecked twin existed.
-        self.__dict__.setdefault("ufast", {})

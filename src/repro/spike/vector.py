@@ -48,6 +48,7 @@ from repro.spike.hart import (
     fp_min,
     fp_sgnj,
     fp_sgnjx,
+    round_f32,
 )
 from repro.soc.memory import PAGE_BITS
 from repro.utils.bitops import MASK64, sign_extend
@@ -90,14 +91,20 @@ def _write(hart: Hart, reg: int, code: str, values,
     """Write ``values`` to elements ``lanes`` of the group at ``reg``;
     ``lanes`` None means elements ``0 .. len(values) - 1``."""
     offset = reg * hart.vlenb
-    if lanes is None:
-        _layout(len(values), code).pack_into(hart.vrf, offset, *values)
-        return
-    one = _layout(1, code)
-    size = one.size
-    vrf = hart.vrf
-    for index, value in zip(lanes, values):
-        one.pack_into(vrf, offset + index * size, value)
+    try:
+        if lanes is None:
+            _layout(len(values), code).pack_into(hart.vrf, offset, *values)
+            return
+        one = _layout(1, code)
+        size = one.size
+        vrf = hart.vrf
+        for index, value in zip(lanes, values):
+            one.pack_into(vrf, offset + index * size, value)
+    except OverflowError:
+        # Only SEW-32 FP packing raises, for a finite double beyond the
+        # float32 range; round like the scalar conversions (to ±inf).
+        _write(hart, reg, code, [round_f32(value) for value in values],
+               lanes)
 
 
 def _mask_bits(hart: Hart, reg: int, count: int) -> int:
@@ -716,5 +723,7 @@ def _vfmerge(hart: Hart, instr: Instruction) -> None:
     # Merged as raw bits, so vs2's elements (NaN payloads included) are
     # copied untouched; only the scalar goes through the FP format.
     sew = _fp_sew(hart)
-    bits = _layout(1, _FP[sew]).pack(hart.fregs[instr.rs1])
+    scalar = hart.fregs[instr.rs1]
+    bits = _layout(1, _FP[sew]).pack(round_f32(scalar) if sew == 32
+                                     else scalar)
     _merge(hart, instr, sew, repeat(_layout(1, _INT[sew]).unpack(bits)[0]))

@@ -4,8 +4,11 @@ The orchestrator keeps the original straight-line per-cycle loop in the
 product behind ``use_reference_loop``; these tests run every example
 kernel through both loops and assert bit-identical outcomes — cycle
 counts, all statistics, per-core breakdowns, and miss traces.  This is
-the proof obligation for the incremental active-list, the single-core
-run-ahead batch, and the O(1) all-stalled fast-forward.
+the proof obligation for the fast loop's incremental active list, its
+due-ring batch (for any number of active cores, one included), its
+per-cycle pass with the dispatch-gap jump, and the O(1) all-stalled
+fast-forward.  ``test_loop_fuzz.py`` extends the same proof to random
+programs.
 """
 
 import hashlib
@@ -71,7 +74,7 @@ def test_loops_identical_across_l2_modes(kernel, l2_mode):
 
 
 def test_loops_identical_with_high_latency_fast_forward():
-    # Long all-stalled gaps exercise advance_to and the run-ahead batch.
+    # Long all-stalled gaps exercise advance_to and the one-core ring.
     kwargs = {"cores": 1, "mem_latency": 2500}
     _sim_ref, ref = _run("scalar-spmv", dict(kwargs), reference=True)
     _sim_fast, fast = _run("scalar-spmv", dict(kwargs), reference=False)

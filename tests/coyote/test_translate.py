@@ -213,3 +213,49 @@ class TestSelfModifyingCode:
         orchestrator = Orchestrator(config, assemble(_SMC_SOURCE))
         results = orchestrator.run()
         assert results.exit_codes == {0: 99, 1: 99}
+
+
+# fadd.s of 2**127 with itself overflows float32; fsw of a double-range
+# value does too.  Both must round to +inf (0x7f800000), translated or
+# interpreted.  The loop runs the body twice so the second pass executes
+# from translated blocks.
+_F32_OVERFLOW_SOURCE = """.text
+_start:
+    li   s0, 2
+    la   s1, out
+loop:
+    li   t0, 0x7f000000
+    fmv.w.x fa0, t0
+    fadd.s fa1, fa0, fa0
+    fmv.x.w a0, fa1
+    fsw  fa1, 0(s1)
+    li   t1, 0x7e37e43c8800759c   # 1e300
+    fmv.d.x fa2, t1
+    fsw  fa2, 4(s1)
+    addi s0, s0, -1
+    bnez s0, loop
+    slli a0, a0, 1
+    ori  a0, a0, 1
+    la   t6, tohost
+    sd   a0, 0(t6)
+halt:
+    j    halt
+.data
+.align 3
+tohost: .dword 0
+out: .zero 8
+"""
+
+
+@pytest.mark.parametrize("translate", [True, False],
+                         ids=["translated", "interpreter"])
+def test_f32_overflow_rounds_to_infinity(translate):
+    config = SimulationConfig.for_cores(1, translate=translate)
+    program = assemble(_F32_OVERFLOW_SOURCE)
+    orchestrator = Orchestrator(config, program)
+    results = orchestrator.run()
+    assert results.exit_codes == {0: 0x7F800000}
+    out = program.symbols["out"]
+    memory = orchestrator.machine.memory
+    assert memory.load_int(out, 4) == 0x7F800000
+    assert memory.load_int(out + 4, 4) == 0x7F800000

@@ -218,3 +218,31 @@ class TestSinglePrecision:
 """)
         expected = struct.unpack("<f", struct.pack("<I", 0x3F800001))[0]
         assert hart.fregs[11] == pytest.approx(2 * expected, rel=1e-7)
+
+    def test_fadd_s_overflow_rounds_to_infinity(self):
+        # 2**127 + 2**127 is finite as a double but beyond float32:
+        # round-to-nearest gives +inf (and -inf for the negated sum).
+        hart = run_body("""
+    li a1, 0x7f000000
+    fmv.w.x fa0, a1
+    fadd.s fa1, fa0, fa0
+    fmv.x.w a2, fa1
+    fneg.s fa2, fa0
+    fadd.s fa3, fa2, fa2
+    fmv.x.w a3, fa3
+""")
+        assert hart.fregs[11] == math.inf
+        assert hart.regs[12] == 0x7F800000
+        assert hart.regs[13] == 0xFFFF_FFFF_FF80_0000
+
+    def test_f32_conversions_saturate_like_round_to_nearest(self):
+        from repro.spike.hart import f32_to_bits, round_f32
+
+        flt_max = struct.unpack("<f", struct.pack("<I", 0x7F7FFFFF))[0]
+        # Below the halfway point to 2**128 the value rounds to FLT_MAX;
+        # at or past it, to infinity.
+        assert round_f32(3.4028235e38) == flt_max
+        assert round_f32(2.0 ** 128) == math.inf
+        assert round_f32(-1e300) == -math.inf
+        assert f32_to_bits(1e39) == 0x7F800000
+        assert f32_to_bits(-1e39) == 0xFF800000

@@ -499,6 +499,38 @@ fscale:
 """, data=self.DATA)
         assert vfelems(hart, 2, 4) == [0.5, 1.0, 1.5, 2.0]
 
+    def test_vfadd_e32_overflow_rounds_to_infinity(self):
+        # 2**127 + 2**127 overflows float32: every element becomes +inf,
+        # on the whole-group path and the masked per-lane path alike.
+        hart = run_body("""
+    vsetvli a1, zero, e32, m1, ta, mu
+    li a2, 0x7f000000
+    vmv.v.x v1, a2
+    vfadd.vv v2, v1, v1
+    li a3, 0x55
+    vmv.v.x v0, a3
+    vmv.v.i v3, 0
+    vfadd.vv v3, v1, v1, v0.t
+""")
+        count = hart.vlenb // 4
+        inf = 0x7F800000
+        assert struct.unpack_from(f"<{count}I", hart.vrf,
+                                  2 * hart.vlenb) == (inf,) * count
+        assert struct.unpack_from(f"<{count}I", hart.vrf, 3 * hart.vlenb) \
+            == tuple(inf if (0x55 >> i) & 1 else 0 for i in range(count))
+
+    def test_vfmerge_e32_double_scalar_rounds_to_infinity(self):
+        hart = run_body("""
+    vsetvli a1, zero, e32, m1, ta, ma
+    la a0, big
+    fld fa0, 0(a0)
+    vmv.v.i v0, 1
+    vmv.v.i v1, 0
+    vfmerge.vfm v2, v1, fa0, v0
+""", data="big:\n    .double 1e300\n")
+        assert struct.unpack_from("<2I", hart.vrf, 2 * hart.vlenb) \
+            == (0x7F800000, 0)
+
     def test_vfredosum(self):
         hart = run_body("""
     vsetvli a1, zero, e64, m1, ta, ma

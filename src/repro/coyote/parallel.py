@@ -23,12 +23,17 @@ Design decisions, in the order they matter:
   the worker's captured stderr tail, and records a
   :class:`WorkerCrash` failure, exactly like any other
   ``on_error="skip"`` failure.
+* **One worker lifecycle.**  :class:`WorkerSet` starts, polls and
+  reaps the workers of all three executors: this pool, the campaign
+  service and the cluster node.  Every reap is SIGTERM, a grace, then
+  SIGKILL, so no executor waits without bound on a worker: not on one
+  that lingers after its result, not on a stopped one at cleanup.
 * **Supervision.**  With a
   :class:`~repro.resilience.supervisor.SupervisorPolicy`, every
   attempt runs under the full lifecycle: workers send periodic
   ``(cycles, RSS)`` heartbeats over the result pipe, the parent
   enforces a per-point wall-clock timeout, a heartbeat deadline and an
-  RSS ceiling, reaps overdue workers (SIGTERM → SIGKILL), re-dispatches
+  RSS ceiling, reaps overdue workers, re-dispatches
   with bounded seeded backoff, and quarantines a point that exhausts
   its retries as a structured
   :class:`~repro.resilience.supervisor.QuarantinedPoint`.  Repeated
@@ -66,6 +71,7 @@ import logging
 import multiprocessing
 import os
 import pickle
+import signal
 import sys
 import tempfile
 import threading
@@ -95,8 +101,13 @@ from repro.telemetry.campaign import CampaignMonitor, CampaignProgress
 
 logger = logging.getLogger("repro.coyote.parallel")
 
-# How long the parent sleeps in connection.wait when nothing is ready.
+# How long an executor waits on its workers' pipes (or sleeps, with
+# none running) when nothing is ready.
 _WAIT_SECONDS = 0.05
+
+# Per-thread signal masks (POSIX only); WorkerSet.spawn blocks SIGINT
+# across the fork with it.
+_SIGMASK = getattr(signal, "pthread_sigmask", None)
 
 
 class WorkerCrash(SimulationError):
@@ -138,9 +149,11 @@ def _worker_main(conn, index: int, settings: dict[str, Any],
                  stderr_path: str | None = None) -> None:
     """Run one point in a child process and ship the outcome back.
 
-    The child's stderr (fd 2) is redirected to ``stderr_path`` first,
-    so whatever a dying worker manages to print — a traceback, an
-    allocator complaint — is recoverable by the parent.  With
+    The entry of every :class:`WorkerSet` worker.  The child's stderr
+    (fd 2) is redirected to ``stderr_path`` first, so whatever a dying
+    worker manages to print — a traceback, an allocator complaint — is
+    recoverable by the parent.  Then it unblocks SIGINT, which the
+    parent blocked across the fork.  With
     ``heartbeat_seconds > 0`` a daemon thread streams ``("hb", index,
     cycles, rss_mb)`` tuples over the same pipe the result travels on;
     a lock keeps the two senders from interleaving a message.
@@ -160,6 +173,10 @@ def _worker_main(conn, index: int, settings: dict[str, Any],
                 io.FileIO(2, "w", closefd=False), line_buffering=True)
         except OSError:
             pass
+    # WorkerSet.spawn forks with SIGINT blocked; take it back here, once
+    # stderr is captured, so a pending one lands in the capture file.
+    if _SIGMASK is not None:
+        _SIGMASK(signal.SIG_UNBLOCK, {signal.SIGINT})
     send_lock = threading.Lock()
     stop = threading.Event()
     probe: dict[str, Any] = {"simulation": None}
@@ -233,18 +250,132 @@ def axes_key(axes: dict[str, list]) -> str:
 
 
 @dataclass
-class _ActiveWorker:
-    """Parent-side state of one in-flight attempt."""
+class Worker:
+    """One live worker; ``state`` is its executor's own bookkeeping."""
 
     process: Any
     conn: Any
+    stderr_path: str
     index: int
     settings: dict[str, Any]
+    state: Any
+
+
+class WorkerSet:
+    """The forked single-point workers of one executor (the sweep pool,
+    the campaign service or a cluster node).
+
+    Each worker runs ``target(conn, index, settings, *args,
+    stderr_path)``, :func:`_worker_main`'s signature, and sends its
+    ``"hb"`` and ``"result"`` messages over ``conn``.  What a message or
+    a death means is the executor's business.
+    """
+
+    def __init__(self, mp_context: str | None = None,
+                 term_grace_seconds: float = 2.0):
+        if mp_context is None:
+            methods = multiprocessing.get_all_start_methods()
+            mp_context = "fork" if "fork" in methods else "spawn"
+        self.context = multiprocessing.get_context(mp_context)
+        self.term_grace_seconds = term_grace_seconds
+        self._workers: dict[Any, Worker] = {}
+
+    def __len__(self) -> int:
+        return len(self._workers)
+
+    def __iter__(self):
+        """The live workers, as a snapshot safe to retire from."""
+        return iter(list(self._workers.values()))
+
+    def spawn(self, target: Callable, index: int,
+              settings: dict[str, Any], args: tuple,
+              state: Any) -> Worker:
+        """Start one worker and add it to the set.
+
+        SIGINT is blocked while the process forks: its handler would
+        otherwise run in an at-fork hook, where CPython discards the
+        ``KeyboardInterrupt``.  Pending instead, it raises here once the
+        worker is in the set, where the caller's cleanup finds it.
+        """
+        parent_conn, child_conn = self.context.Pipe(duplex=False)
+        fd, stderr_path = tempfile.mkstemp(prefix="coyote-worker-",
+                                           suffix=".stderr")
+        os.close(fd)
+        mask = (_SIGMASK(signal.SIG_BLOCK, {signal.SIGINT})
+                if _SIGMASK is not None else None)
+        try:
+            process = self.context.Process(
+                target=target,
+                args=(child_conn, index, settings, *args, stderr_path),
+                daemon=True)
+            process.start()
+            worker = Worker(process, parent_conn, stderr_path, index,
+                            settings, state)
+            self._workers[parent_conn] = worker
+        except BaseException:
+            parent_conn.close()
+            os.unlink(stderr_path)
+            raise
+        finally:
+            child_conn.close()
+            if _SIGMASK is not None:
+                _SIGMASK(signal.SIG_SETMASK, mask)
+        return worker
+
+    def poll(self, timeout: float):
+        """Wait up to ``timeout`` seconds on the workers' pipes.
+
+        Yields ``(worker, message)`` for each ready worker; ``message``
+        is ``None`` when the worker died (EOF before its result).
+        """
+        if not self._workers:
+            return
+        for conn in connection.wait(list(self._workers), timeout):
+            worker = self._workers.get(conn)
+            if worker is None:
+                continue  # retired earlier in this pass
+            try:
+                message = conn.recv()
+            except EOFError:
+                message = None
+            yield worker, message
+
+    def retire(self, worker: Worker) -> str:
+        """Make sure ``worker`` is dead (SIGTERM, the grace, then
+        SIGKILL, which also ends a stopped process), close its pipe and
+        drop it from the set; returns its stderr tail."""
+        process = worker.process
+        if process.is_alive():
+            process.terminate()
+            process.join(self.term_grace_seconds)
+            if process.is_alive():
+                process.kill()
+        process.join()
+        try:
+            worker.conn.close()
+        except OSError:
+            pass
+        self._workers.pop(worker.conn, None)
+        tail = supervision.read_stderr_tail(worker.stderr_path)
+        try:
+            os.unlink(worker.stderr_path)
+        except OSError:
+            pass
+        return tail
+
+    def retire_all(self) -> None:
+        for worker in self:
+            self.retire(worker)
+
+
+@dataclass
+class _Attempt:
+    """The pool's bookkeeping for one in-flight attempt."""
+
     attempt: int
     started: float
     last_beat: float
     beats: list = field(default_factory=list)   # [(cycles, rss_mb)]
-    stderr_path: str | None = None
 
 
 class ParallelSweep:
@@ -282,10 +413,8 @@ class ParallelSweep:
         self.policy.validate()
         self.monitor = CampaignMonitor()
         self.supervisor = Supervisor(self.policy, monitor=self.monitor)
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else "spawn"
-        self._context = multiprocessing.get_context(mp_context)
+        self._workers = WorkerSet(mp_context,
+                                  self.policy.term_grace_seconds)
 
     # -- public entry ------------------------------------------------------
 
@@ -338,14 +467,7 @@ class ParallelSweep:
                 raise point.error
 
         try:
-            if self.workers == 1 and not self.policy.supervised:
-                for index, settings in pending:
-                    record(index, run_point(
-                        settings, self.sweep.base_cores,
-                        self.sweep.base_overrides, make_workload,
-                        self.require_verified))
-            else:
-                self._run_pool(pending, make_workload, record)
+            self._run_pool(pending, make_workload, record)
         except KeyboardInterrupt:
             # The pool was drained by _run_pool's finally; persist what
             # the campaign already computed before the interrupt
@@ -365,96 +487,55 @@ class ParallelSweep:
     # -- the worker pool ---------------------------------------------------
 
     def _spawn(self, index: int, settings: dict[str, Any],
-               make_workload: Callable,
-               attempt: int = 1) -> _ActiveWorker:
+               make_workload: Callable, attempt: int = 1) -> Worker:
         """Start one single-point worker under supervision state."""
-        parent_conn, child_conn = self._context.Pipe(duplex=False)
-        fd, stderr_path = tempfile.mkstemp(prefix="coyote-sweep-",
-                                           suffix=".stderr")
-        os.close(fd)
-        try:
-            process = self._context.Process(
-                target=_worker_main,
-                args=(child_conn, index, settings, self.sweep.base_cores,
-                      self.sweep.base_overrides, make_workload,
-                      self.require_verified,
-                      self.policy.heartbeat_interval_seconds, stderr_path),
-                daemon=True)
-            process.start()
-        except BaseException:
-            parent_conn.close()
-            child_conn.close()
-            os.unlink(stderr_path)
-            raise
-        child_conn.close()
         now = time.monotonic()
+        worker = self._workers.spawn(
+            _worker_main, index, settings,
+            (self.sweep.base_cores, self.sweep.base_overrides,
+             make_workload, self.require_verified,
+             self.policy.heartbeat_interval_seconds),
+            state=_Attempt(attempt, now, now))
         self.monitor.attempt_started(index, settings, attempt)
-        return _ActiveWorker(process, parent_conn, index, settings,
-                             attempt, now, now, [], stderr_path)
-
-    def _retire(self, state: _ActiveWorker,
-                active: dict[Any, _ActiveWorker]) -> str:
-        """Ensure the worker is dead, the pipe closed, the stderr file
-        harvested; returns the stderr tail."""
-        process = state.process
-        if process.is_alive():
-            process.terminate()
-            process.join(self.policy.term_grace_seconds)
-            if process.is_alive():
-                process.kill()
-                process.join()
-        else:
-            process.join()
-        try:
-            state.conn.close()
-        except OSError:
-            pass
-        active.pop(state.conn, None)
-        tail = supervision.read_stderr_tail(state.stderr_path)
-        if state.stderr_path is not None:
-            try:
-                os.unlink(state.stderr_path)
-            except OSError:
-                pass
-            state.stderr_path = None
-        return tail
+        return worker
 
     def _run_pool(self, pending: list[tuple[int, dict[str, Any]]],
                   make_workload: Callable,
                   record: Callable[[int, SweepPoint], None]) -> None:
         policy = self.policy
         supervisor = self.supervisor
+        workers = self._workers
         queue: deque = deque(pending)
         retries: list[tuple[float, int, dict[str, Any]]] = []
-        active: dict[Any, _ActiveWorker] = {}
         current_workers = self.workers
-        serial_mode = False
+        # One unsupervised worker: run in-process from the start.
+        serial_mode = self.workers == 1 and not policy.supervised
 
-        def on_death(state: _ActiveWorker, outcome: str) -> None:
+        def on_death(worker: Worker, outcome: str) -> None:
             """One attempt died (crash observed or worker reaped):
             record the failure, then retry or quarantine."""
-            tail = self._retire(state, active)
-            exit_code = state.process.exitcode
-            self.monitor.attempt_finished(state.index, state.settings,
-                                          state.attempt, outcome)
+            tail = workers.retire(worker)
+            exit_code = worker.process.exitcode
+            self.monitor.attempt_finished(worker.index, worker.settings,
+                                          worker.state.attempt, outcome)
             if not policy.supervised:
-                record(state.index, SweepPoint(
-                    state.settings, None, False,
+                record(worker.index, SweepPoint(
+                    worker.settings, None, False,
                     WorkerCrash(
-                        f"sweep worker for point {state.settings} died "
+                        f"sweep worker for point {worker.settings} died "
                         f"without reporting a result "
                         f"(exit code {exit_code})",
                         exit_code=exit_code, stderr_tail=tail)))
                 return
             action, payload = supervisor.record_failure(
-                state.index, state.settings, outcome, exit_code, tail,
-                state.beats)
+                worker.index, worker.settings, outcome, exit_code, tail,
+                worker.state.beats)
             if action == "retry":
-                retries.append((time.monotonic() + payload, state.index,
-                                state.settings))
+                retries.append((time.monotonic() + payload, worker.index,
+                                worker.settings))
             else:
-                record(state.index, SweepPoint(
-                    state.settings, None, False, payload))
+                record(worker.index, SweepPoint(
+                    worker.settings, None, False, payload))
 
         def degrade(reason: str) -> None:
             nonlocal current_workers, serial_mode
@@ -467,7 +548,7 @@ class ParallelSweep:
                 current_workers = stepped
 
         try:
-            while queue or retries or active:
+            while queue or retries or workers:
                 now = time.monotonic()
                 # Release retries whose backoff elapsed, in index order.
                 due = sorted((item for item in retries if item[0] <= now),
@@ -477,10 +558,10 @@ class ParallelSweep:
                     queue.extend((index, settings)
                                  for _release, index, settings in due)
 
-                if serial_mode and not active:
-                    # Graceful-degradation floor: run the remainder
-                    # in-process (no isolation left, but the campaign
-                    # still terminates with every point accounted for).
+                if serial_mode and not workers:
+                    # In-process execution, and the graceful-degradation
+                    # floor: no isolation left, but the campaign still
+                    # terminates with every point accounted for.
                     leftovers = sorted(
                         list(queue) + [(index, settings) for _release,
                                        index, settings in retries])
@@ -492,81 +573,60 @@ class ParallelSweep:
                     return
 
                 while (queue and not serial_mode
-                       and len(active) < current_workers):
+                       and len(workers) < current_workers):
                     index, settings = queue.popleft()
                     attempt = supervisor.attempt_number(index)
                     try:
-                        state = self._spawn(index, settings,
-                                            make_workload, attempt)
+                        self._spawn(index, settings, make_workload,
+                                    attempt)
                     except OSError as exc:
                         queue.appendleft((index, settings))
                         if not policy.degrade_after:
                             raise
                         degrade(f"worker spawn failed: {exc}")
                         break
-                    active[state.conn] = state
 
-                if active:
-                    ready = connection.wait(list(active), _WAIT_SECONDS)
-                else:
-                    ready = []
-                    if queue or retries:
-                        time.sleep(_WAIT_SECONDS)
+                if not workers and (queue or retries):
+                    time.sleep(_WAIT_SECONDS)
 
-                for conn in ready:
-                    state = active.get(conn)
-                    if state is None:
-                        continue
-                    try:
-                        message = conn.recv()
-                    except EOFError:
-                        on_death(state, "crash")
-                        continue
-                    if message[0] == "hb":
+                for worker, message in workers.poll(_WAIT_SECONDS):
+                    state = worker.state
+                    if message is None:
+                        on_death(worker, "crash")
+                    elif message[0] == "hb":
                         _tag, _index, cycles, rss_mb = message
                         state.last_beat = time.monotonic()
                         state.beats.append((cycles, rss_mb))
                         del state.beats[:-supervision.HEARTBEAT_TRAIL]
-                        self.monitor.heartbeat(state.index, cycles,
+                        self.monitor.heartbeat(worker.index, cycles,
                                                rss_mb)
                         if (policy.max_rss_mb is not None
                                 and rss_mb > policy.max_rss_mb):
-                            self.monitor.reaped(state.index,
-                                                state.settings,
+                            self.monitor.reaped(worker.index,
+                                                worker.settings,
                                                 "rss-exceeded")
-                            on_death(state, "rss-exceeded")
+                            on_death(worker, "rss-exceeded")
                             degrade(f"worker RSS {rss_mb:.0f} MB over "
                                     f"the {policy.max_rss_mb:.0f} MB "
                                     f"ceiling")
-                        continue
-                    _tag, received_index, point = message
-                    state.process.join()
-                    self.monitor.attempt_finished(
-                        state.index, state.settings, state.attempt,
-                        "failed" if point.failed else "ok")
-                    self._retire(state, active)
-                    record(received_index, point)
+                    else:
+                        _tag, received_index, point = message
+                        self.monitor.attempt_finished(
+                            worker.index, worker.settings, state.attempt,
+                            "failed" if point.failed else "ok")
+                        workers.retire(worker)
+                        record(received_index, point)
 
                 now = time.monotonic()
-                for state in list(active.values()):
-                    overdue = supervisor.overdue(state.started,
-                                                 state.last_beat, now)
+                for worker in workers:
+                    overdue = supervisor.overdue(worker.state.started,
+                                                 worker.state.last_beat,
+                                                 now)
                     if overdue is not None:
-                        self.monitor.reaped(state.index, state.settings,
+                        self.monitor.reaped(worker.index, worker.settings,
                                             overdue)
-                        on_death(state, overdue)
+                        on_death(worker, overdue)
         finally:
             # on_error="raise", SIGINT, or any unexpected parent-side
             # error: don't leave orphan simulations burning the host.
-            for state in list(active.values()):
-                state.process.terminate()
-                state.process.join()
-                try:
-                    state.conn.close()
-                except OSError:
-                    pass
-                if state.stderr_path is not None:
-                    try:
-                        os.unlink(state.stderr_path)
-                    except OSError:
-                        pass
+            workers.retire_all()

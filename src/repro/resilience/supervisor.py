@@ -3,9 +3,11 @@
 A design-space campaign is only as robust as its weakest point: one
 wedged worker (infinite loop), one leaking worker (runaway RSS), or one
 transient host failure (fork exhaustion) can wedge a multi-hour sweep.
-This module holds the *decision* layer of the supervised runtime — the
+This module holds the *decision* layer of the supervised runtime.  The
 process mechanics (pipes, signals, ``connection.wait``) live in
-:mod:`repro.coyote.parallel`, which consults these classes:
+:class:`repro.coyote.parallel.WorkerSet`, which the sweep pool, the
+campaign service and the cluster node share; the pool consults these
+classes:
 
 * :class:`SupervisorPolicy` — the knobs: per-point wall-clock timeout,
   heartbeat cadence and miss budget, per-worker RSS ceiling, the

@@ -19,8 +19,9 @@ Execution model — at-least-once, made safe by idempotence:
   immediately without spending an attempt — a crashed service must
   not eat a point's retry budget; only a silent/wedged owner does.
 * **Workers never touch the journal or the cache.**  A point runs in a
-  child process (the PR-5 worker, heartbeats included); only the
-  parent journals transitions and writes cache entries, so an orphaned
+  child process of a :class:`~repro.coyote.parallel.WorkerSet`, the
+  sweep pool's worker (heartbeats included); only the parent journals
+  transitions and writes cache entries, so an orphaned
   worker left behind by a SIGKILLed service can corrupt nothing — it
   dies on its next pipe write, and at worst its work is recomputed.
 * **Completions are idempotent.**  Results live in the
@@ -43,6 +44,7 @@ snapshot + journal.  ``repro.api.submit/status/result/cancel`` and the
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import secrets
@@ -50,17 +52,20 @@ import signal
 import socket
 import tempfile
 import time
-from multiprocessing import connection
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-import multiprocessing
-
 from repro.coyote.config import SimulationConfig
-from repro.coyote.parallel import RemoteError, _worker_main
+from repro.coyote.parallel import (
+    RemoteError,
+    Worker,
+    WorkerSet,
+    _WAIT_SECONDS,
+    _worker_main,
+)
 from repro.coyote.sweep import Sweep, SweepPoint, SweepTable
 from repro.kernels import KERNELS, instantiate
-from repro.resilience import supervisor as supervision
 from repro.resilience.locking import PathLock
 from repro.resilience.supervisor import (
     AttemptRecord,
@@ -99,9 +104,6 @@ __all__ = [
     "spool_cancel",
     "spool_submission",
 ]
-
-# Parent-side wait granularity for worker pipes.
-_POLL_SECONDS = 0.05
 
 
 def _service_worker_main(inherited_fds, *args) -> None:
@@ -265,21 +267,33 @@ def _quarantine_error(settings: dict, record: dict) -> QuarantinedPoint:
     return QuarantinedPoint(message, attempts=attempts)
 
 
-class _Running:
-    """Parent-side state of one in-flight worker attempt."""
+def _cache_point(cache: ResultCache, key: str | None,
+                 point: SweepPoint) -> str | None:
+    """Cache a deterministic outcome (one that kept its results, even a
+    verification failure) under ``key``; returns the key when stored."""
+    if point.results is not None and key is not None \
+            and cache.put(key, point):
+        return key
+    return None
 
-    def __init__(self, job_id: str, index: int, settings: dict,
-                 cache_key: str | None, process, conn,
-                 stderr_path: str | None, fence: int | None = None):
-        self.job_id = job_id
-        self.index = index
-        self.settings = settings
-        self.cache_key = cache_key
-        self.process = process
-        self.conn = conn
-        self.stderr_path = stderr_path
-        self.fence = fence
-        self.last_renew = time.monotonic()
+
+def _workload_factory(spec: dict) -> Callable:
+    kernel, cores, size = spec["kernel"], spec["cores"], spec["size"]
+
+    def make_workload():
+        return instantiate(kernel, cores, size)
+
+    return make_workload
+
+
+@dataclass
+class _Running:
+    """The service's bookkeeping for one in-flight worker attempt."""
+
+    job_id: str
+    cache_key: str | None
+    fence: int | None
+    last_renew: float = field(default_factory=time.monotonic)
 
 
 class CampaignService:
@@ -311,7 +325,6 @@ class CampaignService:
         self.retry.validate()
         self.seed = seed
         self.heartbeat_seconds = heartbeat_seconds
-        self.term_grace_seconds = term_grace_seconds
         self.monitor = monitor if monitor is not None else ServiceMonitor()
         journal = Journal(self.root / "journal.jsonl", fsync=fsync)
         self.store = JobStore(journal, max_queue=max_queue,
@@ -320,17 +333,14 @@ class CampaignService:
         self.worker_id = (f"{socket.gethostname()}:{os.getpid()}:"
                           f"{secrets.token_hex(4)}")
         self._lock = PathLock(self.root / "journal.jsonl")
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else "spawn"
-        self._context = multiprocessing.get_context(mp_context)
-        self._inflight: dict[Any, _Running] = {}
+        # Each worker's state is its _Running record.
+        self._inflight = WorkerSet(mp_context, term_grace_seconds)
         self._not_before: dict[tuple[str, int], float] = {}
         self._kernel_digests: dict[str, str | None] = {}
         self._opened = False
-        # Test hook: called with the _Running record right after a
-        # worker spawns (chaos tests SIGKILL executors mid-lease here).
-        self._chaos_on_spawn: Callable[[_Running], None] | None = None
+        # Test hook: called with the Worker right after it spawns
+        # (chaos tests SIGKILL executors mid-lease here).
+        self._chaos_on_spawn: Callable[[Worker], None] | None = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -520,55 +530,72 @@ class CampaignService:
                 break
             if deadline is not None and time.monotonic() > deadline:
                 break
-            self.ingest_inbox()
-            self._recover_dead_leases()
-            self._reap_expired()
-            progressed = self._fill_slots()
-            progressed |= self._pump()
-            self.monitor.observe_queue(self.store.outstanding_points(),
-                                       self.store.active_leases())
+            progressed = self.step()
             if not self._inflight and not self.store.has_work():
                 break
             if not progressed and not self._inflight:
                 # Only backoff windows or foreign leases remain.
-                time.sleep(_POLL_SECONDS)
+                time.sleep(_WAIT_SECONDS)
         return self.monitor.counters["completions"] - before
+
+    def step(self) -> bool:
+        """One executor turn; returns True when anything progressed."""
+        self.ingest_inbox()
+        self._recover_dead_leases()
+        self._reap_expired()
+        progressed = self._fill_slots()
+        progressed |= self._pump()
+        self.monitor.observe_queue(self.store.outstanding_points(),
+                                   self.store.active_leases())
+        return progressed
 
     def _eligible(self, job_id: str, point: dict) -> bool:
         not_before = self._not_before.get((job_id, point["index"]))
         return not_before is None or not_before <= self._now()
 
+    def _claim(self, owner: str) -> tuple | None:
+        """Claim the next eligible point for ``owner``, serving it from
+        the result cache when the cache has it.
+
+        Returns ``None`` when nothing is claimable, else ``(job_id,
+        point, fence, cache_key, served)``; ``served`` is True when a
+        cache hit already completed the point.
+        """
+        claimed = self.store.claim(owner, self._now(), self.lease_seconds,
+                                   eligible=self._eligible)
+        if claimed is None:
+            return None
+        job_id, point = claimed
+        index = point["index"]
+        fence = (point["lease"] or {}).get("fence")
+        self.monitor.claimed(job_id, index)
+        key = self._cache_key(job_id, point["settings"])
+        cached = self.cache.get(key) if key is not None else None
+        if cached is not None:
+            # Served from disk: no simulation, lease settled now.
+            self.store.complete(
+                job_id, index, cache_key=key, verified=cached.verified,
+                failure=cached.failure_record(), cached=True, fence=fence)
+            self.monitor.completed(job_id, index, cached=True)
+        return job_id, point, fence, key, cached is not None
+
     def _fill_slots(self) -> bool:
         progressed = False
         while len(self._inflight) < self.workers:
-            claimed = self.store.claim(self.worker_id, self._now(),
-                                       self.lease_seconds,
-                                       eligible=self._eligible)
+            claimed = self._claim(self.worker_id)
             if claimed is None:
                 return progressed
-            job_id, point = claimed
-            index = point["index"]
-            fence = (point["lease"] or {}).get("fence")
-            self.monitor.claimed(job_id, index)
             progressed = True
-            key = self._cache_key(job_id, point["settings"])
-            cached = self.cache.get(key) if key is not None else None
-            if cached is not None:
-                # Served from disk: no simulation, lease settled now.
-                self.store.complete(
-                    job_id, index, cache_key=key,
-                    verified=cached.verified,
-                    failure=cached.failure_record(), cached=True,
-                    fence=fence)
-                self.monitor.completed(job_id, index, cached=True)
+            job_id, point, fence, key, served = claimed
+            if served:
                 continue
             try:
                 self._spawn(job_id, point, key, fence)
             except OSError:
                 # Fork pressure: give the point back and breathe.
-                self.store.release(job_id, index, fence=fence)
-                self.monitor.released(job_id, index)
-                time.sleep(_POLL_SECONDS)
+                self.store.release(job_id, point["index"], fence=fence)
+                self.monitor.released(job_id, point["index"])
+                time.sleep(_WAIT_SECONDS)
                 return progressed
         return progressed
 
@@ -593,147 +620,83 @@ class CampaignService:
         return result_key(config_digest(config), kernel_hex,
                           config.resilience.fault_seed)
 
-    def _workload_factory(self, job_id: str) -> Callable:
-        spec = self.store.jobs[job_id]["spec"]
-        kernel, cores, size = spec["kernel"], spec["cores"], spec["size"]
-
-        def make_workload():
-            return instantiate(kernel, cores, size)
-
-        return make_workload
-
     def _spawn(self, job_id: str, point: dict,
                cache_key: str | None,
                fence: int | None = None) -> None:
         spec = self.store.jobs[job_id]["spec"]
-        parent_conn, child_conn = self._context.Pipe(duplex=False)
-        fd, stderr_path = tempfile.mkstemp(prefix="coyote-service-",
-                                           suffix=".stderr")
-        os.close(fd)
-        try:
-            # Only fork children inherit our descriptors (spawn starts
-            # from a fresh process whose fd numbers mean other files).
-            inherited = []
-            if self._context.get_start_method() == "fork" \
-                    and self._lock.fd is not None:
-                inherited = [self._lock.fd]
-            process = self._context.Process(
-                target=_service_worker_main,
-                args=(inherited, child_conn, point["index"],
-                      point["settings"], spec["cores"],
-                      spec["overrides"], self._workload_factory(job_id),
-                      spec["require_verified"],
-                      self.heartbeat_seconds, stderr_path),
-                daemon=True)
-            process.start()
-        except BaseException:
-            parent_conn.close()
-            child_conn.close()
-            os.unlink(stderr_path)
-            raise
-        child_conn.close()
-        running = _Running(job_id, point["index"], point["settings"],
-                           cache_key, process, parent_conn, stderr_path,
-                           fence)
-        self._inflight[parent_conn] = running
+        # Only fork children inherit our descriptors (spawn starts
+        # from a fresh process whose fd numbers mean other files).
+        inherited = []
+        if self._inflight.context.get_start_method() == "fork" \
+                and self._lock.fd is not None:
+            inherited = [self._lock.fd]
+        worker = self._inflight.spawn(
+            functools.partial(_service_worker_main, inherited),
+            point["index"], point["settings"],
+            (spec["cores"], spec["overrides"], _workload_factory(spec),
+             spec["require_verified"], self.heartbeat_seconds),
+            state=_Running(job_id, cache_key, fence))
         if self._chaos_on_spawn is not None:
-            self._chaos_on_spawn(running)
+            self._chaos_on_spawn(worker)
 
     def _pump(self) -> bool:
-        if not self._inflight:
-            return False
         progressed = False
-        for conn in connection.wait(list(self._inflight),
-                                    _POLL_SECONDS):
-            running = self._inflight.get(conn)
-            if running is None:
+        for worker, message in self._inflight.poll(_WAIT_SECONDS):
+            if message is None:
+                tail = self._inflight.retire(worker)
+                self._record_failure(
+                    worker.state.job_id, worker.index, worker.settings,
+                    "crash", worker.process.exitcode, tail,
+                    fence=worker.state.fence)
+            elif message[0] == "hb":
+                self._heartbeat(worker)
                 continue
-            try:
-                message = conn.recv()
-            except EOFError:
-                self._worker_died(running, "crash")
-                progressed = True
-                continue
-            if message[0] == "hb":
-                self._heartbeat(running)
-                continue
-            _tag, _index, point = message
-            self._worker_finished(running, point)
+            else:
+                self._inflight.retire(worker)
+                running, point = worker.state, message[2]
+                self._complete(
+                    running.job_id, worker.index, running.fence,
+                    _cache_point(self.cache, running.cache_key, point),
+                    point.verified, point.failure_record())
             progressed = True
         return progressed
 
-    def _heartbeat(self, running: _Running) -> None:
+    def _heartbeat(self, worker: Worker) -> None:
         # Renew the lease at roughly a third of its term: enough slack
         # that one late heartbeat never expires a healthy worker, and
         # the journal is not flooded with renewals.
+        running = worker.state
         now = time.monotonic()
         if now - running.last_renew >= self.lease_seconds / 3:
             running.last_renew = now
             try:
-                self.store.renew(running.job_id, running.index,
+                self.store.renew(running.job_id, worker.index,
                                  self._now(), self.lease_seconds,
                                  fence=running.fence)
             except StaleWriteError:
                 # The lease lapsed and was reaped out from under this
                 # worker; the expiry sweep will retire it.
-                self.monitor.stale_write(running.job_id, running.index)
+                self.monitor.stale_write(running.job_id, worker.index)
 
-    def _retire(self, running: _Running) -> str:
-        process = running.process
-        if process.is_alive():
-            process.terminate()
-            process.join(self.term_grace_seconds)
-            if process.is_alive():
-                process.kill()
-                process.join()
-        else:
-            process.join()
+    def _complete(self, job_id: str, index: int, fence: int | None,
+                  cache_key: str | None, verified: bool | None,
+                  failure: dict | None) -> bool:
+        """Journal a simulated point's completion; False when its lease
+        was reaped meanwhile (a stale write)."""
         try:
-            running.conn.close()
-        except OSError:
-            pass
-        self._inflight.pop(running.conn, None)
-        tail = supervision.read_stderr_tail(running.stderr_path)
-        if running.stderr_path is not None:
-            try:
-                os.unlink(running.stderr_path)
-            except OSError:
-                pass
-            running.stderr_path = None
-        return tail
-
-    def _worker_finished(self, running: _Running,
-                         point: SweepPoint) -> None:
-        self._retire(running)
-        cache_key = None
-        if point.results is not None and running.cache_key is not None:
-            # Deterministic outcome (including a verification failure
-            # that kept its results): cacheable and shareable.
-            if self.cache.put(running.cache_key, point):
-                cache_key = running.cache_key
-        try:
-            self.store.complete(running.job_id, running.index,
-                                cache_key=cache_key,
-                                verified=point.verified,
-                                failure=point.failure_record(),
-                                cached=False, fence=running.fence)
+            self.store.complete(job_id, index, cache_key=cache_key,
+                                verified=verified, failure=failure,
+                                cached=False, fence=fence)
         except StaleWriteError:
             # The lease was reaped while the result was in flight; the
-            # point belongs to someone else now.  The cache write above
-            # is harmless (same key, same bytes) but the journal stays
+            # point belongs to someone else now.  A cache write made for
+            # it is harmless (same key, same bytes) but the journal stays
             # single-completion.
-            self.monitor.stale_write(running.job_id, running.index)
-            return
-        self.monitor.completed(running.job_id, running.index,
-                               cached=False)
-        self._not_before.pop((running.job_id, running.index), None)
-
-    def _worker_died(self, running: _Running, outcome: str) -> None:
-        tail = self._retire(running)
-        exit_code = running.process.exitcode
-        self._record_failure(running.job_id, running.index,
-                             running.settings, outcome, exit_code, tail,
-                             fence=running.fence)
+            self.monitor.stale_write(job_id, index)
+            return False
+        self.monitor.completed(job_id, index, cached=False)
+        self._not_before.pop((job_id, index), None)
+        return True
 
     def _record_failure(self, job_id: str, index: int, settings: dict,
                         outcome: str, exit_code: int | None,
@@ -771,15 +734,15 @@ class CampaignService:
         now = self._now()
         for job_id, point in self.store.expired_leases(now):
             index = point["index"]
-            running = self._find_inflight(job_id, index)
+            worker = self._find_inflight(job_id, index)
             self.monitor.lease_expired(job_id, index)
-            if running is not None:
+            if worker is not None:
                 # Our own wedged worker: its heartbeats stopped long
                 # enough for the lease to lapse.  Reap it.
-                tail = self._retire(running)
+                tail = self._inflight.retire(worker)
                 self._record_failure(job_id, index, point["settings"],
                                      "lease-expired",
-                                     running.process.exitcode, tail)
+                                     worker.process.exitcode, tail)
             else:
                 # A dead (or foreign, silent) executor's lease.
                 self._record_failure(job_id, index, point["settings"],
@@ -809,25 +772,25 @@ class CampaignService:
                     self.store.release(job_id, point["index"])
                     self.monitor.released(job_id, point["index"])
 
-    def _find_inflight(self, job_id: str,
-                       index: int) -> _Running | None:
-        for running in self._inflight.values():
-            if running.job_id == job_id and running.index == index:
-                return running
+    def _find_inflight(self, job_id: str, index: int) -> Worker | None:
+        for worker in self._inflight:
+            if worker.state.job_id == job_id and worker.index == index:
+                return worker
         return None
 
     def _drain(self) -> None:
         """Stop in-flight work gracefully: terminate workers, release
         their leases (no attempt charged), persist."""
-        for running in list(self._inflight.values()):
-            self._retire(running)
+        for worker in self._inflight:
+            self._inflight.retire(worker)
+            job_id = worker.state.job_id
             try:
-                self.store.release(running.job_id, running.index,
-                                   fence=running.fence)
+                self.store.release(job_id, worker.index,
+                                   fence=worker.state.fence)
             except StaleWriteError:
-                self.monitor.stale_write(running.job_id, running.index)
+                self.monitor.stale_write(job_id, worker.index)
                 continue
-            self.monitor.released(running.job_id, running.index)
+            self.monitor.released(job_id, worker.index)
 
     # -- the long-running server loop --------------------------------------
 

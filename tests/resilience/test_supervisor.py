@@ -14,6 +14,9 @@ The guarantees under test (docs/RESILIENCE.md):
   re-executes a quarantined point.
 * **Degradation** — repeated pool-level failures step the worker count
   down instead of aborting, all the way to a serial floor.
+* **Reaping** — the pool never waits on a worker without bound: not on
+  one that lingers after its result, not on a stopped one at cleanup,
+  and a SIGINT that lands during a fork still interrupts the campaign.
 """
 
 import os
@@ -21,6 +24,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -386,3 +390,114 @@ class TestSigintDrain:
         completed = load_campaign(campaign, axes_key(axes))
         assert completed  # at least the first finished point
         assert len(completed) < 8  # ... but the sweep was cut short
+
+
+def _lingering_factory(settings):
+    # A non-daemon thread keeps the worker's process alive after it
+    # has sent its result (interpreter exit joins such threads).
+    threading.Thread(target=time.sleep, args=(60,)).start()
+    return _healthy_workload()
+
+
+# Run in a child interpreter of its own session, so that a tree whose
+# cleanup hangs fails on the timeout and its teardown can kill the
+# stopped worker with the whole process group.
+_STOPPED_WORKER_SCRIPT = """
+import os, signal, sys, time
+from pathlib import Path
+from repro.coyote.parallel import ParallelSweep
+from repro.coyote.sweep import Sweep
+
+stopped = Path(sys.argv[1])
+
+def factory(settings):
+    if settings["noc.latency"] == 2:
+        stopped.touch()
+        os.kill(os.getpid(), signal.SIGSTOP)
+    while not stopped.exists():
+        time.sleep(0.01)
+    time.sleep(0.2)
+    raise RuntimeError("the other point fails")
+
+engine = ParallelSweep(Sweep(base_cores=2, axes={"noc.latency": [2, 6]}),
+                       workers=2, on_error="raise")
+started = time.monotonic()
+try:
+    engine.run(factory)
+except RuntimeError:
+    print(time.monotonic() - started)
+"""
+
+# A SIGINT that arrives while os.fork runs its at-fork hooks, modelled
+# by a hook that sends one: the handler's KeyboardInterrupt must reach
+# the campaign, not vanish inside the hook.
+_FORK_SIGINT_SCRIPT = """
+import os, signal
+from repro.coyote.parallel import ParallelSweep
+from repro.coyote.sweep import Sweep
+from repro.kernels import vector_axpy
+
+sent = []
+
+def interrupt_once():
+    if not sent:
+        sent.append(True)
+        os.kill(os.getpid(), signal.SIGINT)
+
+os.register_at_fork(after_in_parent=interrupt_once)
+engine = ParallelSweep(Sweep(base_cores=2, axes={"noc.latency": [2, 6]}),
+                       workers=2, on_error="skip")
+try:
+    engine.run(lambda: vector_axpy(length=32, num_cores=2))
+except KeyboardInterrupt:
+    print("interrupted")
+else:
+    print("completed")
+"""
+
+
+def _run_script(script: str, *args: str) -> tuple[int, str, str]:
+    """Run ``script`` in a child interpreter; (returncode, stdout,
+    stderr).  A child still running after 60 s fails the test."""
+    process = subprocess.Popen(
+        [sys.executable, "-c", script, *args],
+        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+        cwd=REPO_ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True)
+    try:
+        stdout, stderr = process.communicate(timeout=60)
+    finally:
+        # The child leads its own process group: whatever it left
+        # behind, a stopped worker say, dies with the group.
+        try:
+            os.killpg(process.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        process.wait()
+    return process.returncode, stdout, stderr
+
+
+class TestWorkerReaping:
+    def test_worker_lingering_after_its_result_is_reaped(self):
+        sweep = Sweep(base_cores=2, axes={"noc.latency": [2]})
+        engine = ParallelSweep(
+            sweep, workers=1, on_error="skip",
+            policy=SupervisorPolicy(point_timeout_seconds=2.0))
+        started = time.monotonic()
+        table = engine.run(_lingering_factory)
+        assert time.monotonic() - started < 20
+        serial = sweep.run(_healthy_factory, workers=1)
+        assert table.to_dict(DIFFERENTIAL_METRICS) \
+            == serial.to_dict(DIFFERENTIAL_METRICS)
+
+    def test_raise_reaps_a_stopped_worker(self, tmp_path):
+        code, stdout, stderr = _run_script(_STOPPED_WORKER_SCRIPT,
+                                           str(tmp_path / "stopped"))
+        assert code == 0 and stdout.strip(), stderr
+        grace = SupervisorPolicy().term_grace_seconds
+        assert float(stdout) < grace + 5
+
+    def test_sigint_during_fork_interrupts_the_campaign(self):
+        code, stdout, stderr = _run_script(_FORK_SIGINT_SCRIPT)
+        assert code == 0, stderr
+        assert stdout.strip() == "interrupted", stderr

@@ -56,8 +56,9 @@ Design decisions, in the order they matter:
   the ``repro.telemetry`` logger namespace
   (:class:`~repro.telemetry.campaign.CampaignProgress`); the supervised
   lifecycle reports to a
-  :class:`~repro.telemetry.campaign.CampaignMonitor` (heartbeat gauges,
-  retry/quarantine counters, per-attempt Chrome trace spans).
+  :class:`~repro.telemetry.campaign.CampaignMonitor`, the monitor every
+  executor builds (heartbeat gauges per point, retry/quarantine
+  counters, per-attempt Chrome trace spans).
 
 The engine uses the ``fork`` start method where the platform offers it
 (workload factories may be closures); on spawn-only platforms the
@@ -261,6 +262,38 @@ class Worker:
     state: Any
 
 
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True
+    return True
+
+
+# A worker's stderr capture file: "<prefix><executor pid>-<random>.stderr"
+# in the temp directory.
+_CAPTURE_PREFIX = "coyote-worker-"
+
+
+def _sweep_orphan_captures() -> None:
+    """Remove the capture files of executors that are gone (a SIGKILLed
+    executor never retires its workers)."""
+    with os.scandir(tempfile.gettempdir()) as entries:
+        for entry in entries:
+            name = entry.name
+            if not (name.startswith(_CAPTURE_PREFIX)
+                    and name.endswith(".stderr")):
+                continue
+            owner = name[len(_CAPTURE_PREFIX):].split("-", 1)[0]
+            if owner.isdigit() and not _pid_alive(int(owner)):
+                try:
+                    os.unlink(entry.path)
+                except OSError:
+                    pass
+
+
 class WorkerSet:
     """The forked single-point workers of one executor (the sweep pool,
     the campaign service or a cluster node).
@@ -268,7 +301,8 @@ class WorkerSet:
     Each worker runs ``target(conn, index, settings, *args,
     stderr_path)``, :func:`_worker_main`'s signature, and sends its
     ``"hb"`` and ``"result"`` messages over ``conn``.  What a message or
-    a death means is the executor's business.
+    a death means is the executor's business.  Building a set removes
+    the stderr capture files that dead executors left behind.
     """
 
     def __init__(self, mp_context: str | None = None,
@@ -279,6 +313,7 @@ class WorkerSet:
         self.context = multiprocessing.get_context(mp_context)
         self.term_grace_seconds = term_grace_seconds
         self._workers: dict[Any, Worker] = {}
+        _sweep_orphan_captures()
 
     def __len__(self) -> int:
         return len(self._workers)
@@ -298,8 +333,8 @@ class WorkerSet:
         worker is in the set, where the caller's cleanup finds it.
         """
         parent_conn, child_conn = self.context.Pipe(duplex=False)
-        fd, stderr_path = tempfile.mkstemp(prefix="coyote-worker-",
-                                           suffix=".stderr")
+        fd, stderr_path = tempfile.mkstemp(
+            prefix=f"{_CAPTURE_PREFIX}{os.getpid()}-", suffix=".stderr")
         os.close(fd)
         mask = (_SIGMASK(signal.SIG_BLOCK, {signal.SIGINT})
                 if _SIGMASK is not None else None)
@@ -496,8 +531,17 @@ class ParallelSweep:
              make_workload, self.require_verified,
              self.policy.heartbeat_interval_seconds),
             state=_Attempt(attempt, now, now))
-        self.monitor.attempt_started(index, settings, attempt)
+        self.monitor.count("attempts")
+        self.monitor.open_span((index, attempt))
         return worker
+
+    def _end_attempt(self, worker: Worker, outcome: str) -> None:
+        """Close the attempt's trace span, on the point's own track."""
+        attempt = worker.state.attempt
+        self.monitor.close_span(
+            (worker.index, attempt),
+            f"point[{worker.index}] attempt {attempt}", worker.index,
+            "sweep", outcome=outcome, settings=str(worker.settings))
 
     def _run_pool(self, pending: list[tuple[int, dict[str, Any]]],
                   make_workload: Callable,
@@ -516,8 +560,7 @@ class ParallelSweep:
             record the failure, then retry or quarantine."""
             tail = workers.retire(worker)
             exit_code = worker.process.exitcode
-            self.monitor.attempt_finished(worker.index, worker.settings,
-                                          worker.state.attempt, outcome)
+            self._end_attempt(worker, outcome)
             if not policy.supervised:
                 record(worker.index, SweepPoint(
                     worker.settings, None, False,
@@ -536,6 +579,12 @@ class ParallelSweep:
             else:
                 record(worker.index, SweepPoint(
                     worker.settings, None, False, payload))
+
+        def reap(worker: Worker, outcome: str) -> None:
+            """Kill an attempt the supervisor gave up on."""
+            self.monitor.count("reaped", f"sweep point {worker.settings}: "
+                                         f"worker reaped ({outcome})")
+            on_death(worker, outcome)
 
         def degrade(reason: str) -> None:
             nonlocal current_workers, serial_mode
@@ -598,22 +647,19 @@ class ParallelSweep:
                         state.last_beat = time.monotonic()
                         state.beats.append((cycles, rss_mb))
                         del state.beats[:-supervision.HEARTBEAT_TRAIL]
-                        self.monitor.heartbeat(worker.index, cycles,
-                                               rss_mb)
+                        self.monitor.count("heartbeats")
+                        self.monitor.gauge(worker.index, cycles=cycles,
+                                           rss_mb=rss_mb)
                         if (policy.max_rss_mb is not None
                                 and rss_mb > policy.max_rss_mb):
-                            self.monitor.reaped(worker.index,
-                                                worker.settings,
-                                                "rss-exceeded")
-                            on_death(worker, "rss-exceeded")
+                            reap(worker, "rss-exceeded")
                             degrade(f"worker RSS {rss_mb:.0f} MB over "
                                     f"the {policy.max_rss_mb:.0f} MB "
                                     f"ceiling")
                     else:
                         _tag, received_index, point = message
-                        self.monitor.attempt_finished(
-                            worker.index, worker.settings, state.attempt,
-                            "failed" if point.failed else "ok")
+                        self._end_attempt(
+                            worker, "failed" if point.failed else "ok")
                         workers.retire(worker)
                         record(received_index, point)
 
@@ -623,9 +669,7 @@ class ParallelSweep:
                                                  worker.state.last_beat,
                                                  now)
                     if overdue is not None:
-                        self.monitor.reaped(worker.index, worker.settings,
-                                            overdue)
-                        on_death(worker, overdue)
+                        reap(worker, overdue)
         finally:
             # on_error="raise", SIGINT, or any unexpected parent-side
             # error: don't leave orphan simulations burning the host.

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import os
 import random
-import time
 from dataclasses import dataclass, field
 
 from repro.coyote.errors import SimulationError
@@ -187,12 +186,10 @@ class Supervisor:
     pool-level failures step the worker count down.
     """
 
-    def __init__(self, policy: SupervisorPolicy, monitor=None,
-                 clock=time.monotonic):
+    def __init__(self, policy: SupervisorPolicy, monitor):
         policy.validate()
         self.policy = policy
         self.monitor = monitor
-        self._clock = clock
         self.attempts: dict[int, list[AttemptRecord]] = {}
         self.quarantined: dict[int, QuarantinedPoint] = {}
         self.degradations: list[DegradationEvent] = []
@@ -240,9 +237,9 @@ class Supervisor:
             delay = retry.backoff_seconds(len(trail), seed=self.policy.seed,
                                           index=index)
             record.backoff_seconds = delay
-            if self.monitor is not None:
-                self.monitor.retry_scheduled(index, settings,
-                                             record.attempt, delay)
+            self.monitor.count(
+                "retries", f"sweep point {settings}: attempt "
+                f"{record.attempt} failed, retrying in {delay:.2f}s")
             return "retry", delay
         suffix = (f" (exit code {exit_code})" if exit_code is not None
                   else "")
@@ -251,8 +248,9 @@ class Supervisor:
             f"attempt(s); last outcome: {outcome}{suffix}",
             attempts=list(trail))
         self.quarantined[index] = error
-        if self.monitor is not None:
-            self.monitor.quarantined(index, settings, len(trail))
+        self.monitor.count("quarantined",
+                           f"sweep point {settings}: quarantined after "
+                           f"{len(trail)} attempt(s)")
         return "quarantine", error
 
     def pool_failure(self, reason: str,
@@ -272,8 +270,10 @@ class Supervisor:
             reason=reason, from_workers=current_workers,
             to_workers=to_workers, pool_failures=self.pool_failures)
         self.degradations.append(event)
-        if self.monitor is not None:
-            self.monitor.degraded(event)
+        self.monitor.count(
+            "degradations", f"pool degraded after {self.pool_failures} "
+            f"pool failure(s): {reason} "
+            f"({current_workers} -> {to_workers or 'serial'} workers)")
         return to_workers
 
 

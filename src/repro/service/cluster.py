@@ -37,6 +37,11 @@ Robust by construction:
   single-node → serial in-process execution.  Each step logs a
   :class:`~repro.resilience.supervisor.DegradationEvent`, surfaced on
   the final table's host-side ``degradations`` field.
+* **Every grant is traced.**  The dispatcher's
+  :class:`~repro.telemetry.campaign.CampaignMonitor` keeps one Chrome
+  trace span per grant on a track per node, closed by the node's
+  report, the node's death or the lease's expiry, next to node
+  counters and per-node heartbeat gauges.
 
 The node tier deliberately owns nothing durable: a node never touches
 the journal and writes only content-addressed cache entries (same key
@@ -73,7 +78,6 @@ from repro.service.transport import (
     ServiceFaultPlan,
     Transport,
 )
-from repro.telemetry.campaign import ClusterMonitor
 
 __all__ = [
     "ClusterDispatcher",
@@ -359,11 +363,8 @@ class ClusterDispatcher(CampaignService):
                  grace_seconds: float = 5.0, fence: bool = True,
                  local_workers: int = 1,
                  clock: Callable[[], float] = time.time,
-                 monitor: ClusterMonitor | None = None,
                  **service_kwargs: Any):
-        monitor = monitor if monitor is not None else ClusterMonitor()
-        super().__init__(root, workers=local_workers, monitor=monitor,
-                         **service_kwargs)
+        super().__init__(root, workers=local_workers, **service_kwargs)
         base = transport if transport is not None \
             else FilesystemTransport(self.root, DISPATCHER_ENDPOINT)
         if fault_plan is not None:
@@ -401,7 +402,11 @@ class ClusterDispatcher(CampaignService):
         node = str(message["node"])
         workers = int(message.get("workers", 1))
         if self.registry.register(node, workers):
-            self.monitor.node_registered(node, workers)
+            self.monitor.count("nodes_registered",
+                               f"cluster: node {node} registered "
+                               f"({workers} worker slot(s))")
+            self.monitor.gauge(f"node {node}", last_seen_age=0.0,
+                               leases_held=0)
         self._ever_had_nodes = True
 
     def _on_heartbeat(self, message: dict) -> None:
@@ -416,8 +421,10 @@ class ClusterDispatcher(CampaignService):
         for entry in message.get("held") or []:
             if isinstance(entry, (list, tuple)) and len(entry) >= 2:
                 held_keys.add((str(entry[0]), int(entry[1])))
-        self.monitor.node_heartbeat(node, self.registry.age(node),
-                                    len(held_keys))
+        self.monitor.count("node_heartbeats")
+        self.monitor.gauge(f"node {node}",
+                           last_seen_age=round(self.registry.age(node), 3),
+                           leases_held=len(held_keys))
         # A heartbeat renews exactly the leases the node acknowledges.
         # A lease the node does not know about (its grant was dropped
         # in transit) is deliberately left to expire and rebalance.
@@ -429,7 +436,7 @@ class ClusterDispatcher(CampaignService):
                 self.store.renew(job_id, point["index"], self._now(),
                                  self.lease_seconds, fence=fence)
             except StaleWriteError:
-                self.monitor.stale_write(job_id, point["index"])
+                self._stale_write(job_id, point["index"])
 
     def _on_request(self, message: dict) -> None:
         node = str(message["node"])
@@ -457,8 +464,8 @@ class ClusterDispatcher(CampaignService):
                                  message.get("cache_key"),
                                  message.get("verified"),
                                  message.get("failure"))
-        self.monitor.grant_settled(node, job_id, index,
-                                   "complete" if settled else "stale")
+        self._settle_grant(node, job_id, index,
+                           "complete" if settled else "stale")
 
     def _on_failure(self, message: dict) -> None:
         node = str(message.get("node", "?"))
@@ -467,8 +474,8 @@ class ClusterDispatcher(CampaignService):
             point = self.store.jobs[job_id]["points"][index]
         except (KeyError, IndexError):
             return
-        self.monitor.grant_settled(node, job_id, index,
-                                   message.get("outcome", "failure"))
+        self._settle_grant(node, job_id, index,
+                           message.get("outcome", "failure"))
         self._record_failure(job_id, index, point["settings"],
                              str(message.get("outcome", "crash")),
                              message.get("exit_code"),
@@ -493,7 +500,8 @@ class ClusterDispatcher(CampaignService):
             "fence": fence if self.fence_enabled else None,
             "cache_key": key,
             "lease_seconds": self.lease_seconds})
-        self.monitor.granted(node, job_id, index, fence)
+        self.monitor.count("grants")
+        self.monitor.open_span((node, job_id, index))
         return True
 
     def _node_leases(self, node: str) -> list[tuple[str, dict]]:
@@ -512,13 +520,18 @@ class ClusterDispatcher(CampaignService):
         progressed = False
         for node in self.registry.reap():
             leases = self._node_leases(node)
-            self.monitor.node_dead(node, self.registry.age(node),
-                                   len(leases))
+            self.monitor.count(
+                "nodes_dead", f"cluster: node {node} declared dead (silent "
+                f"{self.registry.age(node):.1f}s, {len(leases)} lease(s) "
+                f"to rebalance)")
+            self.monitor.gauges.pop(f"node {node}", None)
             for job_id, point in leases:
                 index = point["index"]
-                self.monitor.grant_settled(node, job_id, index,
-                                           "node-lost")
-                self.monitor.rebalanced(node, job_id, index)
+                self._settle_grant(node, job_id, index, "node-lost")
+                self.monitor.count("rebalanced",
+                                   f"cluster: {job_id}[{index}] reaped "
+                                   f"from dead node {node}; point "
+                                   f"re-queued")
                 # Charged as an attempt: a lost node's in-flight work
                 # is indistinguishable from a wedged point, so the
                 # seeded RetryPolicy governs the re-dispatch (and a
@@ -539,7 +552,9 @@ class ClusterDispatcher(CampaignService):
                                  to_workers=to_workers,
                                  pool_failures=len(self.degradations))
         self.degradations.append(event)
-        self.monitor.degraded(event)
+        self.monitor.count("degradations",
+                           f"cluster degraded: {reason} ({from_workers} "
+                           f"-> {to_workers or 'serial'})")
         self._tier = to_tier
 
     def _should_degrade(self) -> bool:
@@ -602,8 +617,7 @@ class ClusterDispatcher(CampaignService):
                 f"dispatcher running points itself")
         if self._tier != "cluster":
             progressed |= self._local_tick()
-        self.monitor.observe_queue(self.store.outstanding_points(),
-                                   self.store.active_leases())
+        self._observe_queue()
         return progressed
 
     def shutdown_nodes(self) -> None:

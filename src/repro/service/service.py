@@ -34,6 +34,9 @@ Execution model — at-least-once, made safe by idempotence:
   exhausts its budget is quarantined as a
   :class:`~repro.resilience.supervisor.QuarantinedPoint`, exactly like
   a supervised in-process sweep.
+* **One monitor.**  Every queue, lease and cache transition counts on
+  the service's :class:`~repro.telemetry.campaign.CampaignMonitor`,
+  the monitor the sweep pool and the cluster dispatcher build too.
 
 Cross-process shape: the serving process holds the journal lock; other
 processes submit by spooling JSON files into ``inbox/`` (atomic,
@@ -62,6 +65,7 @@ from repro.coyote.parallel import (
     Worker,
     WorkerSet,
     _WAIT_SECONDS,
+    _pid_alive,
     _worker_main,
 )
 from repro.coyote.sweep import Sweep, SweepPoint, SweepTable
@@ -87,7 +91,7 @@ from repro.service.store import (
     ServiceError,
     StaleWriteError,
 )
-from repro.telemetry.campaign import ServiceMonitor
+from repro.telemetry.campaign import CampaignMonitor
 
 __all__ = [
     "CampaignService",
@@ -310,7 +314,6 @@ class CampaignService:
                  heartbeat_seconds: float = 0.2,
                  term_grace_seconds: float = 2.0,
                  compact_every: int = 512, fsync: bool = False,
-                 monitor: ServiceMonitor | None = None,
                  mp_context: str | None = None):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -325,7 +328,7 @@ class CampaignService:
         self.retry.validate()
         self.seed = seed
         self.heartbeat_seconds = heartbeat_seconds
-        self.monitor = monitor if monitor is not None else ServiceMonitor()
+        self.monitor = CampaignMonitor()
         journal = Journal(self.root / "journal.jsonl", fsync=fsync)
         self.store = JobStore(journal, max_queue=max_queue,
                               compact_every=compact_every)
@@ -397,15 +400,20 @@ class CampaignService:
         self._require_open()
         spec = build_spec(kernel, axes, cores=cores, size=size,
                           require_verified=require_verified, **overrides)
-        points = spec_points(spec)
         job_id = job_id or new_job_id()
+        self._enqueue(job_id, spec, spec_points(spec))
+        return job_id
+
+    def _enqueue(self, job_id: str, spec: dict, points: list) -> None:
         try:
             self.store.submit(job_id, spec, points)
         except QueueFullError as exc:
-            self.monitor.rejected(str(exc))
+            self.monitor.count("rejected",
+                               f"service: submission rejected ({exc})")
             raise
-        self.monitor.submitted(job_id, len(points))
-        return job_id
+        self.monitor.count("submits", f"service: job {job_id} submitted "
+                                      f"({len(points)} points)")
+        self.monitor.count("points_submitted", amount=len(points))
 
     def ingest_inbox(self) -> int:
         """Fold spooled submissions into the journal; returns count.
@@ -427,16 +435,16 @@ class CampaignService:
                 points = spec_points(spec)
             except Exception:
                 path.rename(path.with_suffix(".corrupt"))
-                self.monitor.rejected(f"unreadable submission {path.name}")
+                self.monitor.count("rejected", f"service: submission "
+                                   f"rejected (unreadable submission "
+                                   f"{path.name})")
                 continue
             if job_id not in self.store.jobs:
                 try:
-                    self.store.submit(job_id, spec, points)
-                except QueueFullError as exc:
+                    self._enqueue(job_id, spec, points)
+                except QueueFullError:
                     path.rename(path.with_suffix(".rejected"))
-                    self.monitor.rejected(str(exc))
                     continue
-                self.monitor.submitted(job_id, len(points))
                 ingested += 1
             path.unlink(missing_ok=True)
         # Cancel markers apply after submissions, so cancelling a job
@@ -504,7 +512,9 @@ class CampaignService:
         for index, key in corrupt:
             # Corrupt or missing entry: never served, never fatal —
             # the cache set it aside; re-queue the point to recompute.
-            self.monitor.cache_corrupt(key)
+            self.monitor.count("cache_corrupt",
+                               f"service: corrupt cache entry {key[:12]} "
+                               f"quarantined; point will be recomputed")
             self.store.invalidate(job_id, index)
         return table, len(corrupt)
 
@@ -545,9 +555,13 @@ class CampaignService:
         self._reap_expired()
         progressed = self._fill_slots()
         progressed |= self._pump()
-        self.monitor.observe_queue(self.store.outstanding_points(),
-                                   self.store.active_leases())
+        self._observe_queue()
         return progressed
+
+    def _observe_queue(self) -> None:
+        self.monitor.gauge("queue",
+                           queue_depth=self.store.outstanding_points(),
+                           active_leases=self.store.active_leases())
 
     def _eligible(self, job_id: str, point: dict) -> bool:
         not_before = self._not_before.get((job_id, point["index"]))
@@ -568,7 +582,7 @@ class CampaignService:
         job_id, point = claimed
         index = point["index"]
         fence = (point["lease"] or {}).get("fence")
-        self.monitor.claimed(job_id, index)
+        self.monitor.count("claims")
         key = self._cache_key(job_id, point["settings"])
         cached = self.cache.get(key) if key is not None else None
         if cached is not None:
@@ -576,7 +590,8 @@ class CampaignService:
             self.store.complete(
                 job_id, index, cache_key=key, verified=cached.verified,
                 failure=cached.failure_record(), cached=True, fence=fence)
-            self.monitor.completed(job_id, index, cached=True)
+            self.monitor.count("completions")
+            self.monitor.count("cache_hits")
         return job_id, point, fence, key, cached is not None
 
     def _fill_slots(self) -> bool:
@@ -594,7 +609,7 @@ class CampaignService:
             except OSError:
                 # Fork pressure: give the point back and breathe.
                 self.store.release(job_id, point["index"], fence=fence)
-                self.monitor.released(job_id, point["index"])
+                self.monitor.count("released")
                 time.sleep(_WAIT_SECONDS)
                 return progressed
         return progressed
@@ -676,7 +691,7 @@ class CampaignService:
             except StaleWriteError:
                 # The lease lapsed and was reaped out from under this
                 # worker; the expiry sweep will retire it.
-                self.monitor.stale_write(running.job_id, worker.index)
+                self._stale_write(running.job_id, worker.index)
 
     def _complete(self, job_id: str, index: int, fence: int | None,
                   cache_key: str | None, verified: bool | None,
@@ -692,11 +707,16 @@ class CampaignService:
             # point belongs to someone else now.  A cache write made for
             # it is harmless (same key, same bytes) but the journal stays
             # single-completion.
-            self.monitor.stale_write(job_id, index)
+            self._stale_write(job_id, index)
             return False
-        self.monitor.completed(job_id, index, cached=False)
+        self.monitor.count("completions")
+        self.monitor.count("cache_misses")
         self._not_before.pop((job_id, index), None)
         return True
+
+    def _stale_write(self, job_id: str, index: int) -> None:
+        self.monitor.count("stale_writes", f"service: {job_id}[{index}] "
+                                           f"stale fenced write rejected")
 
     def _record_failure(self, job_id: str, index: int, settings: dict,
                         outcome: str, exit_code: int | None,
@@ -718,24 +738,41 @@ class CampaignService:
                                exit_code=exit_code, stderr_tail=tail,
                                final=final, failure=failure, fence=fence)
         except StaleWriteError:
-            self.monitor.stale_write(job_id, index)
+            self._stale_write(job_id, index)
             return
         if final:
-            self.monitor.quarantined(job_id, index, attempts)
+            self.monitor.count("quarantined",
+                               f"service: {job_id}[{index}] quarantined "
+                               f"after {attempts} attempt(s)")
         else:
             backoff = self.retry.backoff_seconds(
                 attempts, seed=self.seed, index=index)
             self._not_before[(job_id, index)] = self._now() + backoff
-            self.monitor.retry(job_id, index, attempts, backoff)
+            self.monitor.count("retries",
+                               f"service: {job_id}[{index}] attempt "
+                               f"{attempts} failed, retrying in "
+                               f"{backoff:.2f}s")
 
     # -- lease recovery ----------------------------------------------------
+
+    def _settle_grant(self, node: str, job_id: str, index: int,
+                      outcome: str) -> None:
+        """Close the trace span of a point granted to ``node`` (only a
+        cluster dispatcher opens them)."""
+        self.monitor.close_span((node, job_id, index), f"{job_id}[{index}]",
+                                f"node {node}", "cluster", node=node,
+                                outcome=outcome)
 
     def _reap_expired(self) -> None:
         now = self._now()
         for job_id, point in self.store.expired_leases(now):
             index = point["index"]
             worker = self._find_inflight(job_id, index)
-            self.monitor.lease_expired(job_id, index)
+            self.monitor.count("lease_expired",
+                               f"service: {job_id}[{index}] lease expired; "
+                               f"point reclaimed")
+            self._settle_grant(point["lease"]["worker"], job_id, index,
+                               "lease-expired")
             if worker is not None:
                 # Our own wedged worker: its heartbeats stopped long
                 # enough for the lease to lapse.  Reap it.
@@ -770,7 +807,7 @@ class CampaignService:
                     continue
                 if not _pid_alive(pid):
                     self.store.release(job_id, point["index"])
-                    self.monitor.released(job_id, point["index"])
+                    self.monitor.count("released")
 
     def _find_inflight(self, job_id: str, index: int) -> Worker | None:
         for worker in self._inflight:
@@ -788,9 +825,9 @@ class CampaignService:
                 self.store.release(job_id, worker.index,
                                    fence=worker.state.fence)
             except StaleWriteError:
-                self.monitor.stale_write(job_id, worker.index)
+                self._stale_write(job_id, worker.index)
                 continue
-            self.monitor.released(job_id, worker.index)
+            self.monitor.count("released")
 
     # -- the long-running server loop --------------------------------------
 
@@ -834,13 +871,3 @@ class CampaignService:
         if received.get("signal") == signal.SIGINT:
             return 130
         return 0
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    return True

@@ -8,6 +8,11 @@ contains a deliberately deadlocking point running under
 """
 
 import os
+import signal
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +20,7 @@ from repro.coyote.parallel import (
     ParallelSweep,
     RemoteError,
     WorkerCrash,
+    WorkerSet,
     axes_key,
     settings_key,
 )
@@ -102,6 +108,36 @@ class TestCrashIsolation:
         clone = pickle.loads(pickle.dumps(error))
         assert clone.kind == "DeadlockError"
         assert str(clone) == "wedged at cycle 4242"
+
+
+# An executor that starts one worker, waits for it to exit, and is
+# SIGKILLed before it can retire the worker and delete its stderr file.
+KILLED_EXECUTOR = """
+import os, signal
+from repro.coyote.parallel import WorkerSet
+
+def done(conn, index, settings, stderr_path):
+    conn.close()
+
+worker = WorkerSet("fork").spawn(done, 0, {}, (), state=None)
+worker.process.join()
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+class TestStderrCaptures:
+    def test_fresh_worker_set_removes_a_killed_executors_files(
+            self, tmp_path, monkeypatch):
+        src = Path(__file__).resolve().parents[2] / "src"
+        child = subprocess.run(
+            [sys.executable, "-c", KILLED_EXECUTOR],
+            env=dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=str(src)),
+            timeout=60)
+        assert child.returncode == -signal.SIGKILL
+        assert len(list(tmp_path.glob("coyote-worker-*.stderr"))) == 1
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        WorkerSet()
+        assert list(tmp_path.glob("coyote-worker-*.stderr")) == []
 
 
 class TestValidation:

@@ -213,7 +213,11 @@ class TestRetryDeterminism:
         sweep = Sweep(base_cores=2, axes={"noc.latency": [13, 2]})
         table = sweep.run(_flaky_factory, workers=2, on_error="skip",
                           policy=chaos_policy())
-        assert not any(point.failed for point in table.points)
+        failed = [(point.settings, point.error,
+                   [record.outcome
+                    for record in getattr(point.error, "attempts", ())])
+                  for point in table.points if point.failed]
+        assert not failed, failed
         engine = ParallelSweep(sweep, workers=2, on_error="skip",
                                policy=chaos_policy())
         table = engine.run(_flaky_factory)  # flag exists: no crash now
@@ -328,7 +332,7 @@ class TestObservability:
         assert counters["attempts"] == 2
         assert counters["heartbeats"] >= 2
         assert counters["retries"] == 0 and counters["quarantined"] == 0
-        for gauge in engine.monitor.heartbeat_gauges.values():
+        for gauge in engine.monitor.gauges.values():
             assert gauge["rss_mb"] > 0
         events = engine.monitor.chrome_trace()["traceEvents"]
         assert len(events) == 2

@@ -223,6 +223,14 @@ class TestSeededTransportFaults:
             table = dispatcher.result(job)
         assert table.to_dict(METRICS) \
             == serial_reference().to_dict(METRICS)
+        # A grant sent into the partition is never acknowledged: its
+        # lease expires, and that must still close its trace span.
+        monitor = dispatcher.monitor
+        assert monitor.counters["lease_expired"] >= 1
+        spans = [event for event in monitor.chrome_trace()["traceEvents"]
+                 if event["ph"] == "X"]
+        assert len(spans) == monitor.counters["grants"]
+        assert not monitor.open_spans
 
 
 class TestFencing:

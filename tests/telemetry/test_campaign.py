@@ -1,8 +1,16 @@
-"""Campaign progress telemetry: k/n lines, ETA, failure counts."""
+"""Campaign telemetry: progress lines, and the one campaign monitor."""
 
 import pytest
 
-from repro.telemetry.campaign import CampaignProgress
+from repro.coyote.parallel import ParallelSweep
+from repro.coyote.sweep import Sweep
+from repro.service.cluster import ClusterDispatcher
+from repro.service.service import CampaignService
+from repro.telemetry.campaign import (
+    COUNTERS,
+    CampaignMonitor,
+    CampaignProgress,
+)
 
 
 class FakeClock:
@@ -63,3 +71,30 @@ class TestCampaignProgress:
             progress.point_completed({})
         assert any("1/1 points" in record.message
                    for record in caplog.records)
+
+
+class TestCampaignMonitor:
+    def test_every_executor_starts_every_counter_at_zero(self, tmp_path):
+        executors = [
+            ParallelSweep(Sweep(base_cores=2, axes={"noc.latency": [2]})),
+            CampaignService(tmp_path / "service"),
+            ClusterDispatcher(tmp_path / "cluster"),
+        ]
+        for executor in executors:
+            assert executor.monitor.counters == dict.fromkeys(COUNTERS, 0)
+
+    def test_named_track_spans_and_logged_counts(self):
+        clock = FakeClock()
+        lines = []
+        monitor = CampaignMonitor(clock=clock, sink=lines.append)
+        monitor.count("grants", "granted")
+        monitor.open_span("a")
+        clock.now += 0.5
+        monitor.close_span("a", "job[0]", "node n1", "cluster", outcome="ok")
+        monitor.close_span("a", "job[0]", "node n1", "cluster")  # closed
+        assert monitor.counters["grants"] == 1 and lines == ["granted"]
+        assert not monitor.open_spans
+        names, span = monitor.chrome_trace()["traceEvents"]
+        assert names["args"] == {"name": "node n1"}
+        assert (span["tid"], span["dur"]) == (names["tid"], 500000.0)
+        assert span["args"] == {"outcome": "ok"}
